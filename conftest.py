@@ -58,9 +58,9 @@ def spark() -> SparkSession:
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
     pre-JVM-launch). Per-session configs that *are* honoured post-launch
     (shuffle partitions, Arrow, broadcast threshold) are set here.
-    Broadcast joins are disabled so papers about shuffle/join algorithms
-    actually exercise the shuffle path at SF~=0.1; a reproduction that
-    wants a broadcast join sets the threshold back for that query.
+    Broadcast joins are disabled so that the random-access batch join in
+    ``repro.sparkio`` exercises the shuffle path even on the small test
+    stores; a test that wants a broadcast join sets the threshold back.
     """
     s = (
         SparkSession.builder.appName("repro")

@@ -12,7 +12,7 @@ import numpy as np
 
 __all__ = [
     "BitWriter", "BitReader", "PackedArray", "bits_for", "bits_for_signed",
-    "read_packed", "signed_width", "gather_packed", "gather_bits", "pad_words",
+    "read_packed", "signed_width", "gather_packed", "gather_bits", "pad_words", "pack_bits",
 ]
 
 
@@ -41,14 +41,14 @@ def signed_width(values) -> int:
     Returns 0 when all values are zero (the paper's eps=0 case stores no
     correction bits at all).
     """
-    w = 0
-    for c in values:
-        c = int(c)
-        need = (c.bit_length() + 1) if c >= 0 else ((-c - 1).bit_length() + 1)
-        if c == 0:
-            need = 0
-        w = max(w, need)
-    return w
+    vals = np.asarray(values)
+    if vals.size == 0:
+        return 0
+    # the width needed grows with |c| on either side of zero, so the
+    # extremes decide it
+    lo, hi = int(vals.min()), int(vals.max())
+    return max(hi.bit_length() + 1 if hi > 0 else 0,
+               (-lo - 1).bit_length() + 1 if lo < 0 else 0)
 
 
 def read_packed(words: np.ndarray, start_bit: int, width: int, count: int) -> np.ndarray:
@@ -72,6 +72,22 @@ def read_packed(words: np.ndarray, start_bit: int, width: int, count: int) -> np
     hi = np.where(sh == 0, np.uint64(0), padded[w + 1] << sh2)
     mask = np.uint64((1 << width) - 1)
     return (lo | hi) & mask
+
+
+def pack_bits(values: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """Vectorised :class:`BitWriter`: the words of the stream that writes
+    each ``values[i]`` (non-negative, below ``2**widths[i]``) in
+    ``widths[i]`` bits (0..63), one after another."""
+    vals = np.asarray(values).astype(np.uint64)
+    widths = np.asarray(widths, dtype=np.int64)
+    pos = np.cumsum(widths) - widths
+    words = np.zeros(max(1, (int(widths.sum()) + 63) // 64), dtype=np.uint64)
+    idx = pos >> 6
+    sh = (pos & 63).astype(np.uint64)
+    np.bitwise_or.at(words, idx, vals << sh)
+    spill = (pos & 63) + widths > 64  # fields that cross into the next word
+    np.bitwise_or.at(words, idx[spill] + 1, vals[spill] >> (np.uint64(64) - sh[spill]))
+    return words
 
 
 def pad_words(words: np.ndarray) -> np.ndarray:

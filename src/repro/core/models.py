@@ -173,7 +173,9 @@ class Exponential(Family):
         return th2 * np.exp(np.minimum(th1 * xs, 700.0))
 
     def evaluate1(self, params, x):
-        return params[1] * math.exp(min(params[0] * x, 700.0))
+        # np.exp, not math.exp: the two can differ in the last bit, and
+        # floor() must agree with the encoder's vectorised evaluate().
+        return params[1] * np.exp(min(params[0] * x, 700.0))
 
 
 class Power(Family):

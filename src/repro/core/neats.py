@@ -30,7 +30,7 @@ import struct
 import numpy as np
 
 from .bitstream import (
-    BitReader, BitWriter, PackedArray, bits_for_signed, gather_bits, pad_words, signed_width,
+    BitReader, PackedArray, bits_for_signed, gather_bits, pack_bits, pad_words, signed_width,
 )
 from .bitvector import RankBitvector
 from .eliasfano import EliasFano
@@ -84,7 +84,7 @@ class NeaTS:
 
         # fit corrections fragment by fragment
         widths: list[int] = []
-        corr_writer = BitWriter()
+        biased: list[np.ndarray] = []  # corrections + 2^(w-1), stored unsigned
         offsets = [0]
         self._params_by_kind: dict[int, list[tuple]] = {k: [] for k in set(kinds)}
         self._eps = [p.eps for p in pieces]
@@ -102,17 +102,15 @@ class NeaTS:
             if w > 63:
                 raise ValueError("correction width > 63 bits — approximation broken")
             widths.append(w)
-            if w:
-                half = 1 << (w - 1)
-                for c in cs:
-                    corr_writer.write(int(c) + half, w)
+            biased.append(cs + (1 << (w - 1)) if w else cs)
             offsets.append(offsets[-1] + w * len(p))
             self._params_by_kind[kind_id].append(p.params)
 
         self.S = EliasFano(starts)
         self.B = PackedArray(widths)
         self.O = EliasFano(offsets)
-        self.C = BitReader(corr_writer.to_array(), corr_writer.nbits)
+        lengths = [len(p) for p in pieces]
+        self.C = BitReader(pack_bits(np.concatenate(biased), np.repeat(widths, lengths)), offsets[-1])
         self.K = WaveletTree(kinds, len(_KIND_ORDER))
         self.D = PackedArray(deltas)
         self.Sbv = RankBitvector(starts, self.n) if index == "bv" else None

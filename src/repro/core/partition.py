@@ -17,6 +17,11 @@ the resulting :class:`Piece` records the domain offset ``delta`` (cf.
 footnote 4 of the paper; the offset is stored per fragment and its cost is
 part of the per-fragment overhead constant).
 
+The sweep runs in the C kernel of :mod:`repro.core.alg1`, which returns
+the same partition bit for bit; :func:`_optimal_partition_py` is its
+reference, and runs instead where the kernel cannot be built or cannot
+represent the input.
+
 Also provides the paper's variants: LeaTS (linear-only family set) and
 SNeaTS (model selection of the top-5 pairs on a 10 % prefix sample).
 """
@@ -26,8 +31,9 @@ from collections import Counter
 
 import numpy as np
 
+from . import alg1
 from .bitstream import bits_for_signed
-from .models import DEFAULT_FAMILIES, Family, FragmentFitter, Linear
+from .models import DEFAULT_FAMILIES, FAMILIES, Family, FragmentFitter, Linear
 from .piecewise import Piece
 
 __all__ = [
@@ -41,6 +47,9 @@ __all__ = [
 FRAGMENT_OVERHEAD_BITS = 80
 
 _INF = float("inf")
+
+#: the kernel's family codes: positions in ``FAMILIES``
+_KERNEL_KIND = {type(f): code for code, f in enumerate(FAMILIES)}
 
 
 def default_epsilons(ys: np.ndarray, *, step_bits: int = 2, max_bits: int | None = None) -> list[int]:
@@ -112,9 +121,32 @@ def optimal_partition(
     if epsilons is None:
         epsilons = [0] if lossy else default_epsilons(np.asarray(ys))
     ys = np.asarray(ys)
-    n = len(ys)
-    if n == 0:
+    if len(ys) == 0:
         return []
+    if (alg1.library() is None or any(type(f) not in _KERNEL_KIND for f in families)
+            or not np.can_cast(ys.dtype, np.int64)
+            or not all(0 <= e < 1 << 64 for e in epsilons)):
+        return _optimal_partition_py(ys, families, epsilons, lossy=lossy)
+    pairs = [_PairState(f, e) for f in families for e in epsilons]
+    rows = alg1.run(
+        np.ascontiguousarray(ys, dtype=np.int64),
+        [_KERNEL_KIND[type(p.family)] for p in pairs],
+        [p.eps for p in pairs],
+        [0 if lossy else p.corr_bits for p in pairs],
+        [p.kappa for p in pairs],
+    )
+    return [
+        Piece(i, j, pairs[q].family.kind, pairs[q].eps,
+              pairs[q].family.params_from_mb(m, b, 1, y0), delta=i - fit_start)
+        for i, j, q, fit_start, m, b, y0 in rows
+    ]
+
+
+def _optimal_partition_py(
+    ys: np.ndarray, families: list[Family], epsilons: list[int], *, lossy: bool = False,
+) -> list[Piece]:
+    """Algorithm 1 in Python: the kernel's reference (same partition, bit for bit)."""
+    n = len(ys)
     pairs = [_PairState(f, e) for f in families for e in epsilons]
 
     distance = [_INF] * (n + 1)
@@ -182,10 +214,11 @@ def select_pairs(
     sample_pieces = optimal_partition(ys[:m], families, epsilons)
     counts = Counter((p.kind, p.eps) for p in sample_pieces)
     keep = [pair for pair, _ in counts.most_common(top)]
-    fams = {k for k, _ in keep}
+    kinds = {k for k, _ in keep}
     eps = {e for _, e in keep}
-    fam_by_kind = {f.kind: f for f in families}
-    out_fams = [fam_by_kind[k] for k in fams]
+    # input order, not set order: the pair order breaks Algorithm 1's ties,
+    # and a set of strings iterates in an order that varies per process
+    out_fams = [f for f in families if f.kind in kinds]
     out_eps = sorted(eps)
     if not out_fams:  # degenerate tiny input
         out_fams, out_eps = [Linear()], sorted(set(epsilons))

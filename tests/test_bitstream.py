@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.bitstream import (
     BitReader, BitWriter, PackedArray, bits_for, bits_for_signed,
-    read_packed, signed_width,
+    pack_bits, read_packed, signed_width,
 )
 
 
@@ -37,6 +37,13 @@ class TestBitsFor:
             if w:
                 assert -(1 << (w - 1)) <= v <= (1 << (w - 1)) - 1
 
+    @given(st.lists(st.integers(-(2**62), 2**62), min_size=1, max_size=20))
+    def test_signed_width_is_widest_value(self, vals):
+        """The array form agrees with the per-value widths it replaced."""
+        def need(c):
+            return 0 if c == 0 else (c.bit_length() if c > 0 else (-c - 1).bit_length()) + 1
+        assert signed_width(np.asarray(vals, dtype=np.int64)) == max(map(need, vals))
+
 
 class TestWriterReader:
     @given(st.lists(st.tuples(st.integers(1, 64), st.data()), max_size=80))
@@ -53,6 +60,19 @@ class TestWriterReader:
         for v, nbits in expected:
             assert r.read(pos, nbits) == v
             pos += nbits
+
+    @given(st.lists(st.tuples(st.integers(0, 63), st.data()), min_size=1, max_size=80))
+    @settings(max_examples=60, deadline=None)
+    def test_pack_bits_matches_writer(self, specs):
+        w = BitWriter()
+        vals, widths = [], []
+        for nbits, data in specs:
+            v = data.draw(st.integers(0, (1 << nbits) - 1))
+            w.write(v, nbits)
+            vals.append(v)
+            widths.append(nbits)
+        words = pack_bits(np.asarray(vals, dtype=np.uint64), np.asarray(widths))
+        assert np.array_equal(words, w.to_array())
 
     def test_zero_width_write(self):
         w = BitWriter()

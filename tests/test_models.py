@@ -62,7 +62,7 @@ class TestTableIFamilies:
         xs = np.arange(1, 51, dtype=np.float64)
         vec = family.evaluate(params, xs)
         for x, v in zip(xs, vec):
-            assert family.evaluate1(params, float(x)) == pytest.approx(float(v), rel=1e-12, abs=1e-9)
+            assert family.evaluate1(params, float(x)) == float(v)
 
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.kind)
     def test_t_is_increasing_in_x(self, family):

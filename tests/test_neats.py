@@ -33,6 +33,16 @@ class TestLosslessRoundtrip:
         for k in rng.integers(0, ts.n, 50):
             assert c.access(int(k)) == ts.ints[k]
 
+    def test_access_agrees_with_decompress_on_exponential_fragments(self):
+        """access() evaluates exponential fragments with the encoder's np.exp:
+        math.exp differs in the last bit here and floor() lands one off
+        (access(795) gave 1227 for 1228)."""
+        ys = load("DU", n=16384, seed=1237241459).ints[:1024]
+        c = NeaTS.compress(ys)
+        out = c.decompress()
+        assert np.array_equal(out, ys)
+        assert [c.access(k) for k in range(len(ys))] == out.tolist()
+
     @pytest.mark.parametrize("name", DATASETS[:6])
     def test_succinct_access_agrees(self, compressed, name):
         """Algorithm 3 through the Elias-Fano + wavelet structures gives the

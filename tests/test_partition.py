@@ -1,12 +1,24 @@
 """Algorithm 1: optimal DAG partitioning."""
+import logging
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.core import alg1
 from repro.core.bitstream import bits_for_signed
-from repro.core.models import DEFAULT_FAMILIES, Linear, family_by_kind
+from repro.core.lossy import NeaTSLossy
+from repro.core.models import DEFAULT_FAMILIES, FAMILIES, Linear, family_by_kind
+from repro.core.neats import NeaTS
 from repro.core.partition import (
-    FRAGMENT_OVERHEAD_BITS, default_epsilons, optimal_partition, select_pairs,
+    FRAGMENT_OVERHEAD_BITS, _optimal_partition_py, default_epsilons, optimal_partition,
+    select_pairs,
 )
+from repro.tsdata import DATASETS, load
 
 
 def _series(seed, n=800):
@@ -118,3 +130,108 @@ class TestSelectPairs:
         assert all(k in kinds for k, _ in keep)
         assert all(e in [0, 2, 8, 32] for _, e in keep)
         assert len(fams) >= 1 and len(eps) >= 1
+
+    def test_families_keep_input_order(self):
+        """The pair order breaks Algorithm 1's ties, so it must not depend on
+        the per-process order of a set of strings."""
+        fams, _, keep = select_pairs(_series(4, n=2000), DEFAULT_FAMILIES, [0, 2, 8, 32])
+        kept = {k for k, _ in keep}
+        assert fams == [f for f in DEFAULT_FAMILIES if f.kind in kept]
+
+
+# -- the C kernel against its Python reference ---------------------------------
+
+def _bits(pieces):
+    """A partition with its parameters as raw float64 bytes (-0.0 != 0.0)."""
+    return [(p.start, p.end, p.kind, p.eps, p.delta,
+             np.asarray(p.params, dtype=np.float64).tobytes()) for p in pieces]
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return _bits(fn(*args, **kwargs))
+    except AssertionError:  # no family covers some point: both must say so
+        return "unreachable"
+
+
+@st.composite
+def _int64_series(draw):
+    """Walks, noisy curves and plateaus of 1..600 int64 values, offset by up
+    to +-2^62 so that y +- eps leaves the int64 range."""
+    n = draw(st.integers(1, 600))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    offset = draw(st.sampled_from([0, 1, 1000, -1000, 2**40, -(2**40), 2**62, -(2**62)]))
+    scale = 2 ** draw(st.integers(0, 48))
+    x = np.arange(1, n + 1, dtype=np.float64)
+    shape = draw(st.sampled_from(["walk", "exp", "quadratic", "sqrt", "plateaus"]))
+    if shape == "walk":
+        base = np.cumsum(rng.integers(-scale, scale + 1, n))
+    elif shape == "exp":
+        base = np.round(scale * np.exp(x / rng.uniform(20, 400))).astype(np.int64)
+    elif shape == "quadratic":
+        base = np.round(scale * (x - n / 2) ** 2 / n).astype(np.int64)
+    elif shape == "sqrt":
+        base = np.round(scale * np.sqrt(x)).astype(np.int64)
+    else:
+        base = np.repeat(rng.integers(-scale, scale + 1, n // 50 + 1), 50)[:n]
+    noise = rng.integers(-3, 4, n) if draw(st.booleans()) else 0
+    return (base + noise + offset).astype(np.int64)
+
+
+_FAMILY_SETS = [FAMILIES, DEFAULT_FAMILIES] + [[f] for f in FAMILIES]
+_EPS = [0, 1, 2, 3, 8, 100, 2**20, 2**40, 2**62, 2**63]
+
+
+class TestKernelMatchesReference:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(ys=_int64_series(), families=st.sampled_from(_FAMILY_SETS),
+           eps=st.lists(st.sampled_from(_EPS), min_size=1, max_size=4, unique=True),
+           lossy=st.booleans())
+    def test_same_partition(self, ys, families, eps, lossy):
+        if lossy:
+            eps = eps[:1]
+        assert (_outcome(optimal_partition, ys, families, eps, lossy=lossy)
+                == _outcome(_optimal_partition_py, ys, families, eps, lossy=lossy))
+
+    @pytest.mark.parametrize("name", DATASETS)
+    def test_same_payloads(self, name, monkeypatch):
+        """Every variant serialises to the same bytes with either sweep."""
+        ys = load(name, n=2048).ints
+        variants = ("neats", "leats", "sneats")
+        kernel = [NeaTS.compress(ys, variant=v).to_bytes() for v in variants]
+        lossy = _bits(NeaTSLossy.compress(ys, 16).pieces)
+        monkeypatch.setattr(alg1, "library", lambda: None)
+        assert kernel == [NeaTS.compress(ys, variant=v).to_bytes() for v in variants]
+        assert lossy == _bits(NeaTSLossy.compress(ys, 16).pieces)
+
+
+class TestKernelBuild:
+    def test_falls_back_to_python_once_logged(self, monkeypatch, caplog):
+        def fail(*args, **kwargs):
+            raise OSError("no compiler")
+
+        ys = load("IT", n=300).ints
+        want = _bits(optimal_partition(ys, DEFAULT_FAMILIES, [0, 4]))
+        monkeypatch.setattr(alg1, "build", fail)
+        alg1.library.cache_clear()
+        try:
+            with caplog.at_level(logging.WARNING, logger=alg1.__name__):
+                assert _bits(optimal_partition(ys, DEFAULT_FAMILIES, [0, 4])) == want
+                assert _bits(optimal_partition(ys, DEFAULT_FAMILIES, [0, 4])) == want
+            assert len(caplog.records) == 1 and "no compiler" in caplog.text
+        finally:
+            alg1.library.cache_clear()
+
+    def test_concurrent_builds_on_empty_cache(self, tmp_path):
+        """Two processes building into one empty cache both load the same
+        library, and no temporary file is left behind."""
+        code = ("import ctypes, sys; from repro.core import alg1; "
+                "p = alg1.build(sys.argv[1]); ctypes.CDLL(p).neats_alg1; print(p)")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        procs = [subprocess.Popen([sys.executable, "-c", code, str(tmp_path)], env=env,
+                                  stdout=subprocess.PIPE, text=True) for _ in range(2)]
+        outs = [p.communicate(timeout=120)[0].strip() for p in procs]
+        assert [p.returncode for p in procs] == [0, 0]
+        assert outs[0] == outs[1]
+        assert os.listdir(tmp_path) == [os.path.basename(outs[0])]
