@@ -13,7 +13,7 @@ captures the same knob).
 
 Performance note: the stored structure is the packed chunk arrays and the
 continuation bitvectors (``size_bits`` counts exactly those plus the rank
-directories); like NeaTS's ``_build_cache``, the decode paths use a
+directories); the decode paths use a
 precomputed cumulative-rank array per level — the numpy stand-in for the
 O(1) C rank that the original relies on.
 """
@@ -61,8 +61,7 @@ class DAC:
             cur = rest[has_more]
         self._level_words = [pad_words(p.words) for p in self.levels]
         # pure-Python mirrors for the scalar access hot path (numpy scalar
-        # indexing costs ~100x a C rank; this is the decode-side cache,
-        # like NeaTS._build_cache)
+        # indexing costs ~100x a C rank; this is the decode-side cache)
         self._words_int = [[int(w) for w in lw] for lw in self._level_words]
         self._conts_list = [hb.tolist() for hb in self._conts_bool]
         self._ranks_list = [r.tolist() for r in self._ranks]

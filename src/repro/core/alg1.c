@@ -1,9 +1,9 @@
 /* Algorithm 1 with the Theorem 1 fitter, in one pass of C.
  *
- * A port of repro.core.partition._optimal_partition_py together with the
- * parts of repro.core.models (Table I transforms, FragmentFitter) and
- * repro.core.convex.SegmentStabber that it drives.  Its partitions must be
- * bit-identical to the Python reference, so:
+ * A port of the Python reference sweep (tests/partition_reference.py)
+ * together with the parts of repro.core.models (Table I transforms,
+ * FragmentFitter) and repro.core.convex.SegmentStabber that it drives.  Its
+ * partitions must be bit-identical to the reference, so:
  *   - every float expression keeps the evaluation order of the Python one,
  *     and the file is built with -ffp-contract=off (no fused multiply-add);
  *   - logarithms and square roots call libm log/sqrt, which is what
@@ -19,10 +19,9 @@
 #include <stdint.h>
 #include <stdlib.h>
 
-typedef __int128 i128;
+#include "families.h"
 
-/* Family codes: the order of repro.core.models.FAMILIES. */
-enum { LINEAR, RADICAL, QUADRATIC2, QUADRATIC3, EXPONENTIAL, POWER, LOGARITHMIC, CUBIC_ODD };
+typedef __int128 i128;
 
 typedef struct { double t, y; } point;
 

@@ -1,10 +1,10 @@
 """Bit-level substrate: a bit writer/reader and fixed-width packed arrays.
 
-Everything NeaTS stores (corrections ``C``, packed integer arrays, the
-Elias-Fano lower-bits block, wavelet-tree bitmaps) sits on top of this
-module.  Words are stored little-endian-in-bits inside a ``numpy``
-``uint64`` buffer: bit ``i`` of the stream is bit ``i % 64`` of word
-``i // 64``.
+The NeaTS encoder writes what it stores (corrections ``C``, packed integer
+arrays, the Elias-Fano lower-bits block) with this module, as do the
+bit-packed baselines.  Words are stored little-endian-in-bits inside a
+``numpy`` ``uint64`` buffer: bit ``i`` of the stream is bit ``i % 64`` of
+word ``i // 64``.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import numpy as np
 
 __all__ = [
     "BitWriter", "BitReader", "PackedArray", "bits_for", "bits_for_signed",
-    "read_packed", "signed_width", "gather_packed", "gather_bits", "pad_words", "pack_bits",
+    "read_packed", "signed_width", "gather_packed", "pad_words", "pack_bits",
 ]
 
 
@@ -82,6 +82,10 @@ def pack_bits(values: np.ndarray, widths: np.ndarray) -> np.ndarray:
     widths = np.asarray(widths, dtype=np.int64)
     pos = np.cumsum(widths) - widths
     words = np.zeros(max(1, (int(widths.sum()) + 63) // 64), dtype=np.uint64)
+    # a zero-width field writes nothing; at the end of a stream that fills
+    # its last word, the word it would index does not exist
+    nz = widths > 0
+    vals, widths, pos = vals[nz], widths[nz], pos[nz]
     idx = pos >> 6
     sh = (pos & 63).astype(np.uint64)
     np.bitwise_or.at(words, idx, vals << sh)
@@ -112,21 +116,6 @@ def gather_packed(words: np.ndarray, width: int, idx: np.ndarray, *, padded: boo
     sh2 = (np.uint64(64) - sh) & np.uint64(63)
     hi = np.where(sh == 0, np.uint64(0), pw[w + 1] << sh2)
     return (lo | hi) & np.uint64((1 << width) - 1)
-
-
-def gather_bits(words: np.ndarray, pos: np.ndarray, width: np.ndarray, *, padded: bool = False) -> np.ndarray:
-    """Per-element bit-field gather: read ``width[i]`` bits at bit offset
-    ``pos[i]``.  Widths may differ per element (0..63); width 0 yields 0."""
-    pos = np.asarray(pos, dtype=np.int64)
-    width = np.asarray(width, dtype=np.uint64)
-    w = (pos >> 6).astype(np.int64)
-    sh = (pos & 63).astype(np.uint64)
-    pw = words if padded else pad_words(words)
-    lo = pw[w] >> sh
-    sh2 = (np.uint64(64) - sh) & np.uint64(63)
-    hi = np.where(sh == 0, np.uint64(0), pw[w + 1] << sh2)
-    mask = np.where(width == 0, np.uint64(0), (np.uint64(1) << width) - np.uint64(1))
-    return (lo | hi) & mask
 
 
 class BitWriter:

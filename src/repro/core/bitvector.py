@@ -1,8 +1,8 @@
-"""Plain bitvector with an O(1) rank directory (Jacobson-style, one level).
+"""Plain bitvector with a rank directory (Jacobson-style, one level).
 
-Used for the constant-time random-access variant of NeaTS where ``S`` is a
-length-n bitvector with a 1 at each fragment start (Section III-C, last
-paragraph).
+DAC stores its continuation bits in this layout and counts its size
+(``size_bits``).  The queries over it (``get``, ``rank1``) live in
+``tests/succinct_reference.py``, where the wavelet-tree reference uses them.
 """
 from __future__ import annotations
 
@@ -27,57 +27,19 @@ class RankBitvector:
         # superblock ranks: number of ones before each block of _BLOCK bits
         counts = []
         acc = 0
-        popcnt = _popcount64(words)
-        per_word = popcnt
+        per_word = _popcount64(words)
         wpb = _BLOCK // 64
         for blk in range(0, len(words), wpb):
             counts.append(acc)
             acc += int(per_word[blk:blk + wpb].sum())
         self._dir = np.asarray(counts, dtype=np.int64)
-        self._nones = len(pos)
 
     def __len__(self) -> int:
         return self._len
 
     @property
-    def n_ones(self) -> int:
-        return self._nones
-
-    @property
     def size_bits(self) -> int:
         return self._len + len(self._dir) * 64
-
-    def get(self, i: int) -> bool:
-        if not 0 <= i < self._len:
-            raise IndexError(i)
-        return bool((int(self._words[i >> 6]) >> (i & 63)) & 1)
-
-    def rank1(self, i: int) -> int:
-        """Number of ones in positions [0, i) — O(1) with the directory."""
-        if not 0 <= i <= self._len:
-            raise IndexError(i)
-        blk = i // _BLOCK
-        r = int(self._dir[blk])
-        wstart = blk * (_BLOCK // 64)
-        wend = i >> 6
-        for w in range(wstart, wend):
-            r += int(self._words[w]).bit_count()
-        if i & 63:
-            r += (int(self._words[wend]) & ((1 << (i & 63)) - 1)).bit_count()
-        return r
-
-    def predecessor_one(self, i: int) -> int:
-        """Largest position p <= i with a one bit; -1 if none (scan back)."""
-        w = i >> 6
-        mask = (1 << ((i & 63) + 1)) - 1
-        cur = int(self._words[w]) & mask
-        while True:
-            if cur:
-                return (w << 6) + cur.bit_length() - 1
-            w -= 1
-            if w < 0:
-                return -1
-            cur = int(self._words[w])
 
 
 def _popcount64(words: np.ndarray) -> np.ndarray:

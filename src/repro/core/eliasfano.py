@@ -1,9 +1,9 @@
 """Elias-Fano encoding of monotone integer sequences.
 
 Used for ``S`` (fragment starts) and ``O`` (cumulative correction offsets)
-in the NeaTS layout (Section III-C).  Supports O(1) ``access`` (via a
-select-on-ones directory over the upper-bits bitvector) and
-O(log)-bounded ``rank``/predecessor queries.
+in the NeaTS layout (Section III-C).  This is the encoder: the C view
+(``neats.c``) reads the serialised bits back, and ``tests/`` hold a Python
+reader as its reference.
 """
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import struct
 
 import numpy as np
 
-from .bitstream import BitReader, BitWriter
+from .bitstream import BitWriter
 
 __all__ = ["EliasFano"]
 
@@ -32,10 +32,9 @@ class EliasFano:
         w = BitWriter()
         for v in vals:
             w.write(int(v) & ((1 << self._l) - 1) if self._l else 0, self._l)
-        self._low = BitReader(w.to_array(), w.nbits)
+        self._low_words = w.to_array()
         # upper bits in negated unary: element i sets bit (v >> l) + i
         highs = (vals >> self._l) if self._l else vals.copy()
-        ub = BitWriter()
         nbits_up = int(highs[-1]) + self._n if self._n else 0
         pos = (highs + np.arange(self._n)) if self._n else np.array([], dtype=np.int64)
         words = np.zeros((nbits_up + 64) // 64 + 1, dtype=np.uint64)
@@ -43,11 +42,6 @@ class EliasFano:
             words[p >> 6] |= np.uint64(1) << np.uint64(p & 63)
         self._up_words = words
         self._up_nbits = nbits_up
-        # select directory: position of every one-bit (ones == n, small here;
-        # a production C++ build would sample — the asymptotics we exercise
-        # are access O(1) and rank O(min(log m, log u/m)))
-        self._select1 = np.asarray(pos, dtype=np.int64)
-        self._values = vals  # kept for fast vectorised rank via searchsorted
 
     def __len__(self) -> int:
         return self._n
@@ -57,61 +51,13 @@ class EliasFano:
         """Space of the quasi-succinct encoding (lower + upper bits)."""
         return self._n * self._l + self._up_nbits
 
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self._n:
-            raise IndexError(i)
-        high = int(self._select1[i]) - i
-        low = self._low.read(i * self._l, self._l) if self._l else 0
-        return (high << self._l) | low
-
-    def rank(self, v: int) -> int:
-        """Number of elements <= v (the paper's S.rank operation)."""
-        return int(np.searchsorted(self._values, v, side="right"))
-
-    def predecessor_index(self, v: int) -> int:
-        """Index of the rightmost element <= v; -1 if none."""
-        return self.rank(v) - 1
-
-    def to_list(self) -> list[int]:
-        return [self[i] for i in range(self._n)]
-
     # -- serialisation: the quasi-succinct bits, not the raw integers --------
     def serialize(self) -> bytes:
-        low_words = self._low.words
         return (
             struct.pack(
                 "<qqiqq", self._n, self._universe, self._l,
-                len(low_words), len(self._up_words),
+                len(self._low_words), len(self._up_words),
             )
-            + np.ascontiguousarray(low_words).tobytes()
+            + np.ascontiguousarray(self._low_words).tobytes()
             + np.ascontiguousarray(self._up_words).tobytes()
         )
-
-    @classmethod
-    def deserialize(cls, blob: bytes, off: int) -> tuple["EliasFano", int]:
-        n, universe, l, n_low, n_up = struct.unpack_from("<qqiqq", blob, off)
-        off += 36
-        low = np.frombuffer(blob, dtype=np.uint64, count=n_low, offset=off).copy()
-        off += n_low * 8
-        up = np.frombuffer(blob, dtype=np.uint64, count=n_up, offset=off).copy()
-        off += n_up * 8
-        obj = cls.__new__(cls)
-        obj._n, obj._universe, obj._l = n, universe, l
-        obj._low = BitReader(low, n * l)
-        obj._up_words = up
-        obj._up_nbits = 0  # recomputed below
-        # rebuild the select directory and value cache from the upper bits
-        ones = []
-        for w in range(len(up)):
-            word = int(up[w])
-            while word:
-                b = word & -word
-                ones.append((w << 6) + b.bit_length() - 1)
-                word ^= b
-        ones = np.asarray(sorted(ones), dtype=np.int64)[:n]
-        obj._select1 = ones
-        obj._up_nbits = int(ones[-1]) + 1 if n else 0
-        highs = ones - np.arange(n)
-        lows = np.asarray([obj._low.read(i * l, l) if l else 0 for i in range(n)], dtype=np.int64)
-        obj._values = (highs << l) | lows
-        return obj, off

@@ -11,7 +11,6 @@ import struct
 
 import numpy as np
 
-from .eliasfano import EliasFano
 from .models import DEFAULT_FAMILIES, family_by_kind
 from .partition import optimal_partition
 from .piecewise import Piece

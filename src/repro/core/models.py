@@ -59,12 +59,11 @@ class Family:
         raise NotImplementedError
 
     def evaluate(self, params: tuple, xs: np.ndarray) -> np.ndarray:
-        """Vectorised f(x) over local coordinates ``xs`` (float64 result)."""
+        """Vectorised f(x) over local coordinates ``xs`` (float64 result), in
+        numpy: NeaTS-L, PLA and the tests use it.  NeaTS payloads are encoded
+        and decoded with the C evaluator of ``neats.c`` instead, whose libm
+        results numpy's SIMD loops need not match in the last bit."""
         raise NotImplementedError
-
-    def evaluate1(self, params: tuple, x: float) -> float:
-        """Scalar f(x) — the random-access hot path (Algorithm 3 line 6)."""
-        return float(self.evaluate(params, np.asarray([x], dtype=np.float64))[0])
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<{type(self).__name__}>"
@@ -84,9 +83,6 @@ class Linear(Family):
         th1, th2 = params
         return th1 * xs + th2
 
-    def evaluate1(self, params, x):
-        return params[0] * x + params[1]
-
 
 class Radical(Family):
     """f(x) = th1*sqrt(x) + th2 — Table I row 5."""
@@ -102,9 +98,6 @@ class Radical(Family):
         th1, th2 = params
         return th1 * np.sqrt(xs) + th2
 
-    def evaluate1(self, params, x):
-        return params[0] * math.sqrt(x) + params[1]
-
 
 class Quadratic2(Family):
     """f(x) = th1*x^2 + th2 — Table I row 6."""
@@ -119,9 +112,6 @@ class Quadratic2(Family):
     def evaluate(self, params, xs):
         th1, th2 = params
         return th1 * xs * xs + th2
-
-    def evaluate1(self, params, x):
-        return params[0] * x * x + params[1]
 
 
 class Quadratic3(Family):
@@ -150,10 +140,6 @@ class Quadratic3(Family):
         th3 = y0 - th1 - th2  # anchor at local x0 = 1
         return th1 * xs * xs + th2 * xs + th3
 
-    def evaluate1(self, params, x):
-        th1, th2, y0 = params
-        return th1 * x * x + th2 * x + (y0 - th1 - th2)
-
 
 class Exponential(Family):
     """f(x) = th2 * e^(th1*x) — Table I row 1 (needs y - eps > 0)."""
@@ -171,11 +157,6 @@ class Exponential(Family):
     def evaluate(self, params, xs):
         th1, th2 = params
         return th2 * np.exp(np.minimum(th1 * xs, 700.0))
-
-    def evaluate1(self, params, x):
-        # np.exp, not math.exp: the two can differ in the last bit, and
-        # floor() must agree with the encoder's vectorised evaluate().
-        return params[1] * np.exp(min(params[0] * x, 700.0))
 
 
 class Power(Family):

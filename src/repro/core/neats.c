@@ -1,0 +1,359 @@
+/* The Table I evaluator and Algorithms 2-3 of NeaTS, over a serialised
+ * payload (the byte layout of repro.core.neats.NeaTS.to_bytes).
+ *
+ * eval_floor is the only evaluator of the fitted functions: the encoder
+ * computes its corrections through neats_eval and the decoder adds them
+ * back through neats_scan/neats_access, so both see the same floor(f(x))
+ * whatever the host's numpy dispatches to.  To keep that value a property
+ * of the payload format (NTS2), the file is built with -ffp-contract=off
+ * (no fused multiply-add), each expression keeps the left-to-right order of
+ * its Python transcription, and exp/log/pow/sqrt are the libm calls that
+ * CPython's math module makes; x**3 is pow(x, 3.0).
+ *
+ * Memory: the caller owns every buffer.  neats_view reads the payload with
+ * memcpy (its arrays start at unaligned offsets), checks every length field
+ * against the buffer before reading, and fills one frag row per fragment
+ * plus a sentinel row m with start = n and off = |C|.  Integers are
+ * little-endian, as the payload is written on little-endian hosts.
+ */
+#include <math.h>
+#include <stdint.h>
+#include <string.h>
+
+#include "families.h"
+
+typedef __int128 i128;
+
+/* One fragment, decoded once from S, O, D, B, K and P.  The local x of
+ * index k is delta + (k - start) + 1. */
+typedef struct {
+    int64_t start, off, delta;
+    double p[3];
+    int64_t kind, width;
+} frag;
+
+typedef struct {
+    const uint8_t *payload; /* in: the serialised bytes */
+    int64_t len;            /* in */
+    frag *frags;            /* in: cap rows */
+    int64_t cap;            /* in */
+    int64_t n, shift, m;    /* out */
+    int64_t cwords;         /* out: byte offset of C's first word */
+} view;
+
+/* neats_view's error codes; repro.core.neats maps them to messages. */
+enum { OK, BAD_MAGIC = -1, OVERRUN = -2, BAD_COUNT = -3, BAD_KIND = -4, SHORT_PARAMS = -5,
+       BAD_EF = -6, INCONSISTENT = -7 };
+
+static const int N_PARAMS[N_KINDS] = {2, 2, 2, 3, 2, 2, 2, 2};
+
+/* floor(f(x)) of the fragment's function; NaN and values outside int64
+ * give INT64_MIN, on the encoder's side and the decoder's alike. */
+static inline int64_t eval_floor(const frag *fr, double x)
+{
+    const double a = fr->p[0], b = fr->p[1];
+    double v, t;
+    switch (fr->kind) {
+    case LINEAR:
+        v = a * x + b;
+        break;
+    case RADICAL:
+        v = a * sqrt(x) + b;
+        break;
+    case QUADRATIC2:
+        v = a * x * x + b;
+        break;
+    case QUADRATIC3: /* p = (th1, th2, y0), anchored at local x = 1 */
+        v = a * x * x + b * x + (fr->p[2] - a - b);
+        break;
+    case EXPONENTIAL: /* p = (th1, th2) */
+        t = a * x;
+        v = b * exp(t > 700.0 ? 700.0 : t);
+        break;
+    case POWER:
+        v = b * pow(x, a);
+        break;
+    case LOGARITHMIC: /* p = (th1, ln th2) */
+        v = a * log(x) + b;
+        break;
+    default: /* CUBIC_ODD */
+        v = a * pow(x, 3.0) + b * x;
+        break;
+    }
+    v = floor(v);
+    return v >= -0x1p63 && v < 0x1p63 ? (int64_t)v : INT64_MIN;
+}
+
+static inline double local_x(const frag *fr, int64_t k)
+{
+    return (double)((uint64_t)fr->delta + (uint64_t)(k - fr->start) + 1);
+}
+
+/* floor(f(x)) at every index of frags[0, m), with frags[m].start = n, into
+ * out[0, n): the encoder's half of the shared evaluator. */
+void neats_eval(const frag *frags, int64_t m, int64_t *out)
+{
+    for (int64_t i = 0; i < m; i++)
+        for (int64_t k = frags[i].start; k < frags[i + 1].start; k++)
+            out[k] = eval_floor(&frags[i], local_x(&frags[i], k));
+}
+
+static inline uint64_t load64(const uint8_t *p)
+{
+    uint64_t w;
+    memcpy(&w, p, 8);
+    return w;
+}
+
+/* The w-bit field (0 <= w <= 63) at bit pos of the words at base.  A
+ * zero-width field reads nothing, so one that sits at the end of the
+ * stream does not touch the word after it. */
+static inline uint64_t read_bits(const uint8_t *base, int64_t pos, int w)
+{
+    if (w == 0)
+        return 0;
+    const uint8_t *at = base + 8 * (pos >> 6);
+    int sh = (int)(pos & 63);
+    uint64_t v = load64(at) >> sh;
+    if (sh + w > 64)
+        v |= load64(at + 8) << (64 - sh);
+    return v & ((UINT64_C(1) << w) - 1);
+}
+
+/* Algorithm 3 within fragment fr: prediction plus correction, minus the
+ * positivity shift, in wrapping arithmetic as the encoder subtracted. */
+static inline int64_t decode_at(const view *v, const frag *fr, int64_t k)
+{
+    uint64_t y = (uint64_t)eval_floor(fr, local_x(fr, k));
+    int w = fr->width;
+    if (w)
+        y += read_bits(v->payload + v->cwords, fr->off + (k - fr->start) * w, w)
+             - (UINT64_C(1) << (w - 1));
+    return (int64_t)(y - (uint64_t)v->shift);
+}
+
+/* S.rank(k) - 1: the fragment covering 0 <= k < n. */
+static inline const frag *locate(const view *v, int64_t k)
+{
+    int64_t lo = 0, hi = v->m;
+    while (hi - lo > 1) {
+        int64_t mid = lo + (hi - lo) / 2;
+        if (v->frags[mid].start <= k)
+            lo = mid;
+        else
+            hi = mid;
+    }
+    return &v->frags[lo];
+}
+
+/* T[k] for 0 <= k < n (the caller checks the range). */
+int64_t neats_access(const view *v, int64_t k)
+{
+    return decode_at(v, locate(v, k), k);
+}
+
+/* out[j] = T[ks[j]]; -1 (and out undefined) if some key is out of range. */
+int neats_access_many(const view *v, const int64_t *ks, int64_t count, int64_t *out)
+{
+    for (int64_t j = 0; j < count; j++) {
+        if (ks[j] < 0 || ks[j] >= v->n)
+            return -1;
+        out[j] = neats_access(v, ks[j]);
+    }
+    return 0;
+}
+
+/* Algorithm 2 over T[lo, hi), 0 <= lo <= hi <= n: locate the first
+ * fragment once, then walk the fragments in order. */
+void neats_scan(const view *v, int64_t lo, int64_t hi, int64_t *out)
+{
+    if (lo >= hi)
+        return;
+    for (const frag *fr = locate(v, lo); lo < hi; fr++) {
+        int64_t end = fr[1].start < hi ? fr[1].start : hi;
+        for (; lo < end; lo++)
+            *out++ = decode_at(v, fr, lo);
+    }
+}
+
+/* -- parsing -------------------------------------------------------------- */
+
+typedef struct {
+    const uint8_t *p;
+    int64_t len, off;
+} cursor;
+
+/* The next nbytes, or NULL if they overrun the buffer. */
+static const uint8_t *take(cursor *c, int64_t nbytes)
+{
+    if (nbytes < 0 || nbytes > c->len - c->off)
+        return NULL;
+    const uint8_t *at = c->p + c->off;
+    c->off += nbytes;
+    return at;
+}
+
+static int take_i32(cursor *c, int32_t *x)
+{
+    const uint8_t *at = take(c, 4);
+    if (at)
+        memcpy(x, at, 4);
+    return at != NULL;
+}
+
+static int take_i64(cursor *c, int64_t *x)
+{
+    const uint8_t *at = take(c, 8);
+    if (at)
+        memcpy(x, at, 8);
+    return at != NULL;
+}
+
+/* nwords 64-bit words, at least need of them. */
+static int take_words(cursor *c, int64_t nwords, int64_t need, const uint8_t **at)
+{
+    if (nwords < need || nwords > (c->len - c->off) / 8)
+        return OVERRUN;
+    *at = take(c, 8 * nwords);
+    return OK;
+}
+
+/* A PackedArray (count, width, words) of exactly m cells, decoded into
+ * out[i * stride] as int64. */
+static int packed(cursor *c, int64_t m, int64_t *out, size_t stride)
+{
+    int32_t count, width;
+    int64_t nwords;
+    const uint8_t *words;
+    if (!take_i32(c, &count) || !take_i32(c, &width) || !take_i64(c, &nwords))
+        return OVERRUN;
+    if (count != m)
+        return BAD_COUNT;
+    if (width < 0 || width > 63)
+        return INCONSISTENT;
+    if (take_words(c, nwords, (count * (int64_t)width + 63) / 64, &words))
+        return OVERRUN;
+    for (int64_t i = 0; i < m; i++)
+        out[i * stride] = (int64_t)read_bits(words, i * width, width);
+    return OK;
+}
+
+/* An Elias-Fano sequence (n, universe, l, low words, upper words) of
+ * exactly m values, decoded into out[i * stride]: value i is
+ * ((position of the i-th set upper bit) - i) << l | (i-th low field). */
+static int elias_fano(cursor *c, int64_t m, int64_t *out, size_t stride)
+{
+    int64_t count, universe, nlow, nup;
+    int32_t l;
+    const uint8_t *low, *up;
+    if (!take_i64(c, &count) || !take_i64(c, &universe) || !take_i32(c, &l)
+        || !take_i64(c, &nlow) || !take_i64(c, &nup))
+        return OVERRUN;
+    if (count != m)
+        return BAD_COUNT;
+    if (l < 0 || l > 63)
+        return BAD_EF;
+    if (take_words(c, nlow, (count * l + 63) / 64, &low) || take_words(c, nup, 0, &up))
+        return OVERRUN;
+    int64_t i = 0;
+    for (int64_t w = 0; w < nup; w++) {
+        uint64_t word = load64(up + 8 * w);
+        while (word) {
+            if (i == count)
+                return BAD_EF; /* more set bits than values */
+            int64_t high = 64 * w + __builtin_ctzll(word) - i;
+            out[i * stride] = (int64_t)(((uint64_t)high << l) | read_bits(low, i * l, l));
+            word &= word - 1;
+            i++;
+        }
+    }
+    return i == count ? OK : BAD_EF;
+}
+
+#define TRY(call)                 \
+    do {                          \
+        int err_ = (call);        \
+        if (err_)                 \
+            return err_;          \
+    } while (0)
+
+/* frags[0].f as the first of a column of int64 cells, one per row */
+#define COLUMN(f) &v->frags[0].f, sizeof(frag) / sizeof(int64_t)
+
+/* Parse and validate v->payload; fill v->frags[0, m] and the out fields.
+ * Returns OK or a negative error code, never reading outside the buffer. */
+int neats_view(view *v)
+{
+    cursor c = {v->payload, v->len, 0};
+    const uint8_t *at = take(&c, 4);
+    int32_t m32, kind_id, count[N_KINDS] = {0};
+    int64_t cbits, nwords, used[N_KINDS] = {0};
+    const uint8_t *params[N_KINDS] = {NULL};
+    if (!at)
+        return OVERRUN;
+    if (memcmp(at, "NTS2", 4) != 0)
+        return BAD_MAGIC;
+    if (!take_i64(&c, &v->n) || !take_i64(&c, &v->shift) || !take_i32(&c, &m32) || !(at = take(&c, 1)))
+        return OVERRUN;
+    const int64_t m = v->m = m32, n = v->n;
+    if (m <= 0 || m > n || m + 1 > v->cap)
+        return BAD_COUNT;
+    if (*at != 0) /* reserved: the constant-time S variant is not stored */
+        return INCONSISTENT;
+    frag *fr = v->frags;
+
+    TRY(packed(&c, m, COLUMN(width)));
+    TRY(packed(&c, m, COLUMN(delta)));
+    TRY(elias_fano(&c, m, COLUMN(start)));
+    TRY(elias_fano(&c, m + 1, COLUMN(off)));
+    TRY(packed(&c, m, COLUMN(kind)));
+    fr[m].start = n;
+    /* S starts at 0 and increases; O[i + 1] - O[i] is fragment i's bits */
+    if (fr[0].start != 0 || fr[0].off != 0)
+        return INCONSISTENT;
+    for (int64_t i = 0; i < m; i++) {
+        if (fr[i].kind >= N_KINDS)
+            return BAD_KIND;
+        if (fr[i].start >= fr[i + 1].start || fr[i].width > 63 || fr[i].delta >= n
+            || (i128)fr[i + 1].off - fr[i].off != (i128)fr[i].width * (fr[i + 1].start - fr[i].start))
+            return INCONSISTENT;
+    }
+    if (!take_i64(&c, &cbits))
+        return OVERRUN;
+    if (cbits != fr[m].off)
+        return INCONSISTENT;
+    nwords = cbits > 0 ? cbits / 64 + (cbits % 64 != 0) : 1; /* never fewer than one word */
+    v->cwords = c.off;
+    if (!take(&c, 8 * nwords))
+        return OVERRUN;
+
+    /* P: (kind id, count, count * n_params doubles) per kind, in increasing
+     * kind order, then -1 */
+    for (int32_t last = -1;; last = kind_id) {
+        if (!take_i32(&c, &kind_id))
+            return OVERRUN;
+        if (kind_id == -1)
+            break;
+        if (kind_id <= last || kind_id >= N_KINDS)
+            return BAD_KIND;
+        if (!take_i32(&c, &count[kind_id]))
+            return OVERRUN;
+        if (count[kind_id] < 0)
+            return SHORT_PARAMS;
+        if (!(params[kind_id] = take(&c, 8 * N_PARAMS[kind_id] * (int64_t)count[kind_id])))
+            return OVERRUN;
+    }
+    if (c.off != c.len)
+        return INCONSISTENT;
+    for (int64_t i = 0; i < m; i++) {
+        int64_t k = fr[i].kind, r = used[k]++;
+        if (r >= count[k])
+            return SHORT_PARAMS;
+        fr[i].p[2] = 0.0;
+        memcpy(fr[i].p, params[k] + 8 * N_PARAMS[k] * r, 8 * N_PARAMS[k]);
+    }
+    for (int k = 0; k < N_KINDS; k++)
+        if (used[k] != count[k])
+            return INCONSISTENT;
+    return OK;
+}

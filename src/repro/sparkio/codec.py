@@ -114,18 +114,21 @@ def decompress_blocks(blocks: DataFrame) -> DataFrame:
 
     def _decode(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         for pdf in batches:
-            for _, row in pdf.iterrows():
-                vals = decode_block(row["payload"], row["codec"], int(row["n"]))
-                start = int(row["start_idx"])
-                yield pd.DataFrame({"idx": np.arange(start, start + len(vals)), "y": vals})
+            if pdf.empty:
+                continue
+            vals = [decode_block(payload, codec, int(n))
+                    for payload, codec, n in zip(pdf["payload"], pdf["codec"], pdf["n"])]
+            idx = [np.arange(start, start + len(v)) for start, v in zip(pdf["start_idx"], vals)]
+            yield pd.DataFrame({"idx": np.concatenate(idx), "y": np.concatenate(vals)})
 
     return blocks.mapInPandas(_decode, schema=_DECODED_SCHEMA)
 
 
 def random_access(blocks: DataFrame, keys: DataFrame, *, block_size: int, key_col: str = "idx") -> DataFrame:
     """Batch random access: join the queried indexes to their blocks (a
-    shuffle join — broadcast stays disabled per the session config) and use
-    NeaTS's in-block Algorithm 3 instead of full block decoding."""
+    shuffle join — broadcast stays disabled per the session config), then
+    per block one payload parse and one batched Algorithm 3 call
+    (``NeaTS.access_many``) instead of full block decoding."""
     k = keys.select(
         F.col(key_col).cast("long").alias("idx"),
         (F.col(key_col).cast("long") / F.lit(block_size)).cast("long").alias("block_id"),
@@ -134,17 +137,21 @@ def random_access(blocks: DataFrame, keys: DataFrame, *, block_size: int, key_co
 
     def _pick(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         for pdf in batches:
-            for (payload, codec, start, n), grp in pdf.groupby(
-                ["payload", "codec", "start_idx", "n"], sort=False
-            ):
-                idxs = grp["idx"].to_numpy(dtype=np.int64)
+            if pdf.empty:
+                continue
+            all_keys = pdf["idx"].to_numpy(dtype=np.int64)
+            idxs, ys = [], []
+            for rows in pdf.groupby("block_id", sort=False).indices.values():
+                first = rows[0]
+                payload, codec = pdf["payload"].iat[first], pdf["codec"].iat[first]
+                keys_in_block = all_keys[rows]
+                offsets = keys_in_block - int(pdf["start_idx"].iat[first])
                 if codec in ("neats", "leats", "sneats"):
-                    nts = NeaTS.from_bytes(bytes(payload))
-                    ys = np.asarray([nts.access(int(i - start)) for i in idxs], dtype=np.int64)
+                    ys.append(NeaTS.from_bytes(payload).access_many(offsets))
                 else:
-                    vals = decode_block(payload, codec, int(n))
-                    ys = vals[idxs - start]
-                yield pd.DataFrame({"idx": idxs, "y": ys})
+                    ys.append(decode_block(payload, codec, int(pdf["n"].iat[first]))[offsets])
+                idxs.append(keys_in_block)
+            yield pd.DataFrame({"idx": np.concatenate(idxs), "y": np.concatenate(ys)})
 
     return joined.mapInPandas(_pick, schema=_DECODED_SCHEMA)
 

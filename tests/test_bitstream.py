@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.bitstream import (
     BitReader, BitWriter, PackedArray, bits_for, bits_for_signed,
-    pack_bits, read_packed, signed_width,
+    gather_packed, pack_bits, read_packed, signed_width,
 )
 
 
@@ -73,6 +73,41 @@ class TestWriterReader:
             widths.append(nbits)
         words = pack_bits(np.asarray(vals, dtype=np.uint64), np.asarray(widths))
         assert np.array_equal(words, w.to_array())
+
+    @given(st.lists(st.tuples(st.sampled_from([0, 0, 1, 7, 32, 63]), st.data()), min_size=1, max_size=40),
+           st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_pack_bits_matches_writer_and_reader(self, specs, whole_words):
+        """Widths include 0, and with ``whole_words`` the stream is padded to
+        a multiple of 64 bits and ends in zero-width fields."""
+        vals, widths = [], []
+        for nbits, data in specs:
+            vals.append(data.draw(st.integers(0, (1 << nbits) - 1)))
+            widths.append(nbits)
+        if whole_words:
+            pad = -sum(widths) % 64
+            while pad:
+                widths.append(min(pad, 63))
+                vals.append(0)
+                pad -= widths[-1]
+            widths += [0, 0]
+            vals += [0, 0]
+        w = BitWriter()
+        for v, nbits in zip(vals, widths):
+            w.write(v, nbits)
+        words = pack_bits(np.asarray(vals, dtype=np.uint64), np.asarray(widths))
+        assert np.array_equal(words, w.to_array())
+        pos = np.cumsum(widths) - widths
+        r = BitReader(words, w.nbits)
+        assert [r.read(int(p), nb) for p, nb in zip(pos, widths)] == vals
+
+    def test_zero_width_field_at_word_boundary(self):
+        words = pack_bits([1, 2, 0], [32, 32, 0])
+        assert words.tolist() == [1 | 2 << 32]
+        assert BitReader(words, 64).read(64, 0) == 0
+        assert gather_packed(words, 0, [1, 2]).tolist() == [0, 0]
+        assert gather_packed(words, 32, [1]).tolist() == [2]
+        assert PackedArray([0, 0], width=0)[1] == 0
 
     def test_zero_width_write(self):
         w = BitWriter()

@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from repro.core import native
 from repro.core.models import (
     FAMILIES, DEFAULT_FAMILIES, CubicOdd, Exponential, FragmentFitter, Linear,
     Logarithmic, Power, Quadratic2, Quadratic3, Radical, family_by_kind,
     fit_fragment,
 )
+from repro.core.neats import _floor_predictions
 
 RNG = np.random.default_rng(0)
 
@@ -35,6 +37,35 @@ def _sample_from(family, n, rng):
     raise AssertionError(family)
 
 
+def _math_floor(kind, params, x):
+    """floor(f(x)) with the math module: the NTS2 evaluator's definition
+    (left-to-right order, libm calls, x**3 as pow(x, 3.0)); values outside
+    int64 and NaN map to int64's minimum."""
+    a, b, c = (*params, 0.0)[:3]
+    if kind == "linear":
+        v = a * x + b
+    elif kind == "radical":
+        v = a * math.sqrt(x) + b
+    elif kind == "quadratic2":
+        v = a * x * x + b
+    elif kind == "quadratic3":
+        v = a * x * x + b * x + (c - a - b)
+    elif kind == "exponential":
+        v = b * math.exp(min(a * x, 700.0))
+    elif kind == "power":
+        try:
+            v = b * math.pow(x, a)
+        except OverflowError:  # libm returns +inf here (x >= 1)
+            v = b * math.inf
+    elif kind == "logarithmic":
+        v = a * math.log(x) + b
+    else:
+        v = a * math.pow(x, 3.0) + b * x
+    if not -2.0**63 <= v < 2.0**63:  # also NaN
+        return -2**63
+    return math.floor(v)
+
+
 class TestTableIFamilies:
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.kind)
     @pytest.mark.parametrize("eps", [2, 8, 64])
@@ -53,16 +84,26 @@ class TestTableIFamilies:
         assert np.max(np.abs(approx - data)) <= 2 * eps + 1 + 1e-6
 
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.kind)
-    def test_evaluate1_matches_vectorised(self, family):
+    def test_c_evaluator_matches_math_transcription(self, family):
+        """The C evaluator shared by the NeaTS encoder and decoder gives
+        exactly the floor of the math-module transcription below, for fitted
+        parameters and for random ones, at local x up to 2^40."""
         rng = np.random.default_rng(7)
         data = np.round(_sample_from(family, 50, rng)).astype(np.int64)
-        params = fit_fragment(family, 10, data)
-        if params is None:
-            pytest.skip("family cannot cover its rounded sample at eps=10")
-        xs = np.arange(1, 51, dtype=np.float64)
-        vec = family.evaluate(params, xs)
-        for x, v in zip(xs, vec):
-            assert family.evaluate1(params, float(x)) == float(v)
+        fitted = fit_fragment(family, 10, data)
+        cases = [fitted] if fitted is not None else []
+        for _ in range(40):
+            p = [float(v) for v in rng.normal(0, 1, 3) * 10.0 ** rng.integers(-12, 4, 3)]
+            cases.append(tuple(p[:family.n_params]))
+        for params in cases:
+            for delta in (0, 17, 2**20, 2**40):
+                frags = np.zeros(2, dtype=native.FRAG)
+                frags["start"] = [0, 64]
+                frags["delta"][0] = delta
+                frags["kind"][0] = FAMILIES.index(family)
+                frags["p"][0, :len(params)] = params
+                want = [_math_floor(family.kind, params, float(delta + j + 1)) for j in range(64)]
+                assert _floor_predictions(frags).tolist() == want, (params, delta)
 
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.kind)
     def test_t_is_increasing_in_x(self, family):
@@ -111,7 +152,7 @@ class TestFragmentFitter:
             assert f.try_extend(100)
             assert len(f) == 1
             params = f.params()
-            v = fam.evaluate1(params, 1.0)
+            v = fam.evaluate(params, np.asarray([1.0]))[0]
             if fam.anchored:
                 assert v == pytest.approx(100.0)
 
@@ -133,7 +174,7 @@ class TestFragmentFitter:
         for y in data:
             assert f.try_extend(y)
         params = f.params()
-        assert fam.evaluate1(params, 1.0) == pytest.approx(100.0, abs=1e-9)
+        assert fam.evaluate(params, np.asarray([1.0]))[0] == pytest.approx(100.0, abs=1e-9)
 
     def test_default_families_are_papers_four(self):
         kinds = {f.kind for f in DEFAULT_FAMILIES}

@@ -1,10 +1,18 @@
 """NeaTS end-to-end: lossless roundtrip, random access, scan, serialisation."""
+import os
+import struct
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.models import Linear
-from repro.core.neats import NeaTS
+from repro.core.models import DEFAULT_FAMILIES, FAMILIES, Linear
+from repro.core.neats import CorruptPayloadError, NeaTS
+from repro.core.partition import OutOfDomainError
 from repro.tsdata import DATASETS, load
+from tests.wavelet_reference import WaveletTree
 
 N_TEST = 1536
 
@@ -34,9 +42,9 @@ class TestLosslessRoundtrip:
             assert c.access(int(k)) == ts.ints[k]
 
     def test_access_agrees_with_decompress_on_exponential_fragments(self):
-        """access() evaluates exponential fragments with the encoder's np.exp:
-        math.exp differs in the last bit here and floor() lands one off
-        (access(795) gave 1227 for 1228)."""
+        """Seed 1237241459, DU block 0: np.exp and libm exp differ in the
+        last bit here, and when access() and the encoder used different ones
+        floor() landed one off (access(795) gave 1227 for 1228)."""
         ys = load("DU", n=16384, seed=1237241459).ints[:1024]
         c = NeaTS.compress(ys)
         out = c.decompress()
@@ -45,8 +53,8 @@ class TestLosslessRoundtrip:
 
     @pytest.mark.parametrize("name", DATASETS[:6])
     def test_succinct_access_agrees(self, compressed, name):
-        """Algorithm 3 through the Elias-Fano + wavelet structures gives the
-        same answers as the cached fast path."""
+        """access_succinct (the same C path as access) answers from the
+        stored S/B/O/K structures."""
         ts, c = compressed[name]
         rng = np.random.default_rng(2)
         for k in rng.integers(0, ts.n, 25):
@@ -72,12 +80,54 @@ class TestLosslessRoundtrip:
         assert c.size_bytes < ts.original_bytes
 
 
+def _section_starts(blob: bytes) -> dict[str, int]:
+    """Byte offset of each section of a payload (layout of ``to_bytes``)."""
+    starts, off = {}, 25  # magic, n, shift, m, has_bv
+    for section in "BDSOK":
+        starts[section] = off
+        if section in "SO":  # Elias-Fano: (n, universe, l, n_low, n_up) + words
+            n_low, n_up = struct.unpack_from("<qq", blob, off + 20)
+            off += 36 + 8 * (n_low + n_up)
+        else:  # packed: (count, width, n_words) + words
+            off += 16 + 8 * struct.unpack_from("<q", blob, off + 8)[0]
+    starts["C"] = off
+    (cbits,) = struct.unpack_from("<q", blob, off)
+    starts["P"] = off + 8 + 8 * max(1, (cbits + 63) // 64)
+    return starts
+
+
+def _param_sections(blob: bytes) -> dict[int, np.ndarray]:
+    """P_f of a payload, per kind id."""
+    off, out = _section_starts(blob)["P"], {}
+    while (kind_id := struct.unpack_from("<i", blob, off)[0]) != -1:
+        count = struct.unpack_from("<i", blob, off + 4)[0]
+        width = FAMILIES[kind_id].n_params
+        out[kind_id] = np.frombuffer(blob, np.float64, count * width, off + 8).reshape(count, width)
+        off += 8 + 8 * count * width
+    return out
+
+
+class TestViewAddressing:
+    @pytest.mark.parametrize("name", DATASETS[:6])
+    def test_params_follow_rank_f(self, compressed, name):
+        """Fragment i's row holds P_f[K.rank_f(i + 1) - 1] (Algorithm 3),
+        with rank_f from a wavelet tree over K."""
+        _, c = compressed[name]
+        rows = c._frags[:c.m]
+        kinds = rows["kind"].tolist()
+        wt = WaveletTree(kinds, len(FAMILIES))
+        params = _param_sections(c.to_bytes())
+        for i, (k, row) in enumerate(zip(kinds, rows["p"])):
+            want = params[k][wt.rank(k, i + 1) - 1]
+            assert row[:len(want)].tobytes() == want.tobytes()
+
+
 class TestVariants:
     def test_leats_is_linear_only(self):
         ts = load("IT", n=N_TEST)
         c = NeaTS.compress(ts.ints, variant="leats")
         assert np.array_equal(c.decompress(), ts.ints)
-        assert set(c._params_by_kind) == {0}  # kind id 0 == linear
+        assert set(c._frags["kind"][:c.m].tolist()) == {0}  # kind id 0 == linear
 
     def test_neats_not_worse_than_leats_much(self):
         """Full family set should be <= linear-only + small serialisation
@@ -94,11 +144,19 @@ class TestVariants:
         assert sel <= full * 1.35  # paper: 8.18% worse on average
 
     def test_bv_index_variant(self):
+        """The constant-time ``S`` variant is not stored: the header byte
+        that would flag it is always 0, and a payload that sets it is
+        refused."""
         ts = load("CT", n=N_TEST)
-        c = NeaTS.compress(ts.ints, variant="sneats", index="bv")
+        c = NeaTS.compress(ts.ints, variant="sneats")
+        blob = bytearray(c.to_bytes())
+        assert blob[24] == 0  # after magic, n, shift and m
         rng = np.random.default_rng(3)
         for k in rng.integers(0, ts.n, 40):
             assert c.access_succinct(int(k)) == ts.ints[k]
+        blob[24] = 1
+        with pytest.raises(CorruptPayloadError):
+            NeaTS.from_bytes(bytes(blob))
 
 
 class TestEdgeCases:
@@ -168,3 +226,216 @@ class TestEdgeCases:
         c2 = NeaTS.from_bytes(c.to_bytes())
         assert c2.shift == c.shift
         assert np.array_equal(c2.decompress(), ys)
+
+
+def _check_lossless(c, ys):
+    """Every read path of ``c`` returns ``ys``."""
+    n = len(ys)
+    assert c.n == n
+    assert np.array_equal(c.decompress(), ys)
+    assert [c.access(k) for k in range(n)] == ys.tolist()
+    assert np.array_equal(c.access_many(np.arange(n)[::-1]), ys[::-1])
+    for lo, hi in [(0, n), (n // 3, n // 3 + 10), (n - 1, n), (n // 2, n // 2)]:
+        assert np.array_equal(c.scan(lo, min(hi, n)), ys[lo:min(hi, n)])
+
+
+class TestRegressions:
+    def test_seed43_du_block2(self):
+        """Where numpy's exp and libm's exp disagree: the encoder's
+        corrections and the decoder's predictions come from one evaluator."""
+        ys = load("DU", n=16384, seed=43).ints[2048:3072]
+        _check_lossless(NeaTS.compress(ys), ys)
+
+    def test_zero_width_field_at_word_boundary(self):
+        """The correction stream fills whole words and ends in a fragment of
+        width 0: packing raised IndexError there."""
+        ys = load("LON", n=65536, seed=7).ints[52224:53248]
+        c = NeaTS.compress(ys)
+        _check_lossless(c, ys)
+        _check_lossless(NeaTS.from_bytes(c.to_bytes()), ys)
+
+    def test_shift_past_int64_is_out_of_domain(self):
+        with pytest.raises(OutOfDomainError, match="shift"):
+            NeaTS.compress(np.asarray([-(2**62) - 5, 2**62], dtype=np.int64))
+
+    def test_access_many_out_of_range(self):
+        c = NeaTS.compress(np.asarray([1, 2, 3], dtype=np.int64))
+        assert c.access_many([]).tolist() == []
+        for bad in ([0, 3], [-1]):
+            with pytest.raises(IndexError):
+                c.access_many(bad)
+
+
+@st.composite
+def _series(draw):
+    """1..600 int64 values: walks, curves, plateaus and noise of scale up to
+    2^40 at offsets up to +-2^59.  (A series whose positivity shift takes it
+    past int64 is rejected up front; see TestRegressions.)"""
+    n = draw(st.integers(1, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 2 ** draw(st.integers(0, 40))
+    offset = draw(st.sampled_from([0, 1, -1000, 2**40, -(2**40), 2**59, -(2**59)]))
+    x = np.arange(1, n + 1, dtype=np.float64)
+    shape = draw(st.sampled_from(["walk", "exp", "quadratic", "sqrt", "plateaus", "noise"]))
+    if shape == "walk":
+        base = np.cumsum(rng.integers(-scale, scale + 1, n))
+    elif shape == "exp":
+        base = np.round(scale * np.exp(np.minimum(x / rng.uniform(20, 400), 20.0)))
+    elif shape == "quadratic":
+        base = np.round(scale * (x - n / 2) ** 2 / n)
+    elif shape == "sqrt":
+        base = np.round(scale * np.sqrt(x))
+    elif shape == "plateaus":
+        base = np.repeat(rng.integers(-scale, scale + 1, n // 50 + 1), 50)[:n]
+    else:
+        base = rng.integers(-scale, scale + 1, n)
+    return np.clip(base, -(2**59), 2**59).astype(np.int64) + offset
+
+
+_FAMILY_CHOICES = [DEFAULT_FAMILIES] + [[f] for f in FAMILIES]
+
+
+class TestLosslessProperty:
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(ys=_series(), families=st.sampled_from(_FAMILY_CHOICES),
+           variant=st.sampled_from(["neats", "leats", "sneats"]))
+    def test_every_read_path_returns_the_input(self, ys, families, variant):
+        c = NeaTS.compress(ys, families=families, variant=variant)
+        _check_lossless(c, ys)
+        c2 = NeaTS.from_bytes(c.to_bytes())
+        assert c2.to_bytes() == c.to_bytes()
+        _check_lossless(c2, ys)
+
+
+def _payloads():
+    out = []
+    for name, n, seed, lo in [("DU", 16384, 43, 2048), ("IT", 2048, 7, 0), ("ECG", 2048, 7, 512)]:
+        ys = load(name, n=n, seed=seed).ints[lo:lo + 600]
+        out.append(NeaTS.compress(ys, variant="sneats").to_bytes())
+    out.append(NeaTS.compress(np.asarray([5], dtype=np.int64)).to_bytes())
+    return out
+
+
+class TestCorruptPayload:
+    @pytest.mark.parametrize("which", range(4))
+    def test_every_truncation_raises(self, which):
+        blob = _payloads()[which]
+        for cut in range(len(blob)):
+            with pytest.raises(CorruptPayloadError):
+                NeaTS.from_bytes(blob[:cut])
+
+    def test_trailing_bytes_raise(self):
+        blob = _payloads()[1]
+        with pytest.raises(CorruptPayloadError):
+            NeaTS.from_bytes(blob + b"\0")
+
+    @pytest.mark.parametrize("magic", [b"NTS1", b"XXXX", b"nts2"])
+    def test_wrong_magic(self, magic):
+        blob = _payloads()[1]
+        with pytest.raises(CorruptPayloadError, match="magic"):
+            NeaTS.from_bytes(magic + blob[4:])
+
+    @pytest.mark.parametrize("m", [0, -1, 10**6, 2**31 - 1])
+    def test_fragment_count_out_of_range(self, m):
+        blob = bytearray(_payloads()[1])
+        blob[20:24] = np.int32(m).tobytes()  # m follows magic, n and shift
+        with pytest.raises(CorruptPayloadError):
+            NeaTS.from_bytes(bytes(blob))
+
+    def test_m_greater_than_n(self):
+        blob = bytearray(_payloads()[3])  # n = 1, m = 1
+        blob[4:12] = np.int64(0).tobytes()
+        with pytest.raises(CorruptPayloadError, match="count"):
+            NeaTS.from_bytes(bytes(blob))
+
+    def test_kind_id_out_of_range(self):
+        c = NeaTS.compress(np.arange(100, dtype=np.int64), variant="leats")
+        blob = bytearray(c.to_bytes())
+        kind_at = _section_starts(bytes(blob))["P"]  # the one P section's kind id
+        assert blob[kind_at:kind_at + 4] == np.int32(0).tobytes()
+        blob[kind_at:kind_at + 4] = np.int32(8).tobytes()
+        with pytest.raises(CorruptPayloadError, match="kind"):
+            NeaTS.from_bytes(bytes(blob))
+
+    def test_parameter_count_short(self):
+        c = NeaTS.compress(np.arange(100, dtype=np.int64), variant="leats")
+        blob = bytearray(c.to_bytes())
+        count_at = _section_starts(bytes(blob))["P"] + 4
+        blob[count_at:count_at + 4] = np.int32(c.m - 1).tobytes()
+        with pytest.raises(CorruptPayloadError, match="short"):  # one row fewer, too
+            NeaTS.from_bytes(bytes(blob[:len(blob) - 20]) + bytes(blob[-4:]))
+
+    def test_elias_fano_set_bits_short_of_count(self):
+        """Clearing one set bit of S's upper bits leaves m - 1 values."""
+        ys = load("IT", n=2048, seed=7).ints
+        c = NeaTS.compress(ys, variant="leats")
+        assert c.m > 1
+        blob = bytearray(c.to_bytes())
+        off = _section_starts(bytes(blob))["S"]
+        count, _, _, n_low = struct.unpack_from("<qqiq", blob, off)
+        assert count == c.m
+        up = off + 36 + 8 * n_low
+        word = int.from_bytes(blob[up:up + 8], "little")
+        blob[up:up + 8] = (word & (word - 1)).to_bytes(8, "little")  # drop the lowest set bit
+        with pytest.raises(CorruptPayloadError, match="Elias-Fano"):
+            NeaTS.from_bytes(bytes(blob))
+
+
+    def test_correction_bit_count_near_int64_max(self):
+        """|C| = 2^63 - 1 passes every check before C's word count (n = 2^63 - 1,
+        one fragment of width 1, O = [0, 2^63 - 1] in 63 low bits); the
+        count must overrun the buffer, not wrap."""
+        top = 2**63 - 1
+
+        def packed(value):  # one cell of width 1
+            return struct.pack("<iiqQ", 1, 1, 1, value)
+
+        blob = b"".join([
+            struct.pack("<4sqqib", b"NTS2", top, 0, 1, 0),
+            packed(1),  # B
+            packed(0),  # D
+            struct.pack("<qqiqqQ", 1, 1, 0, 0, 1, 0b1),  # S = [0]
+            struct.pack("<qqiqqQQQ", 2, top, 63, 2, 1, 1 << 63, (1 << 62) - 1, 0b11),  # O
+            packed(0),  # K
+        ])
+        with pytest.raises(CorruptPayloadError, match="contradict"):  # reaches |C|
+            NeaTS.from_bytes(blob + struct.pack("<q", top - 1))
+        with pytest.raises(CorruptPayloadError, match="overruns"):
+            NeaTS.from_bytes(blob + struct.pack("<q", top))
+
+
+_AVX512 = ("AVX512F", "AVX512CD", "AVX512_SKX", "AVX512_CLX", "AVX512_CNL", "AVX512_ICL")
+
+
+def _host_has_avx512f() -> bool:
+    try:
+        with open("/proc/cpuinfo") as f:
+            return " avx512f" in f.read()
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _host_has_avx512f(), reason="the host has no AVX512F to switch off")
+class TestCrossDispatch:
+    def test_decode_without_avx512_matches(self, tmp_path):
+        """A payload decodes to the same values in a process whose numpy
+        dispatches without AVX512 (where np.exp/log/pow round differently)."""
+        blocks = [load("DU", n=16384, seed=43).ints[2048:3072],
+                  load("DU", n=16384, seed=1237241459).ints[:1024]]
+        paths = [str(tmp_path / f"{i}.bin") for i in range(len(blocks))]
+        for path, ys in zip(paths, blocks):
+            with open(path, "wb") as f:
+                f.write(NeaTS.compress(ys).to_bytes())
+        code = (
+            "import sys, numpy as np; from repro.core.neats import NeaTS\n"
+            "for path in sys.argv[1:]:\n"
+            "    c = NeaTS.from_bytes(open(path, 'rb').read())\n"
+            "    ks = np.arange(c.n)\n"
+            "    np.save(path + '.npy', [c.decompress(), [c.access(int(k)) for k in ks], c.access_many(ks)])\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+               "NPY_DISABLE_CPU_FEATURES": " ".join(_AVX512)}
+        subprocess.run([sys.executable, "-c", code, *paths], env=env, check=True, timeout=120)
+        for path, ys in zip(paths, blocks):
+            got = np.load(path + ".npy")
+            assert [row.tolist() for row in got] == [ys.tolist()] * 3

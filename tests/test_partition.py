@@ -1,5 +1,4 @@
 """Algorithm 1: optimal DAG partitioning."""
-import logging
 import os
 import subprocess
 import sys
@@ -9,16 +8,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import alg1
+from repro.core import lossy as lossy_mod, native, neats as neats_mod, partition
 from repro.core.bitstream import bits_for_signed
 from repro.core.lossy import NeaTSLossy
-from repro.core.models import DEFAULT_FAMILIES, FAMILIES, Linear, family_by_kind
+from repro.core.models import DEFAULT_FAMILIES, FAMILIES, Family, Linear, family_by_kind
 from repro.core.neats import NeaTS
 from repro.core.partition import (
-    FRAGMENT_OVERHEAD_BITS, _optimal_partition_py, default_epsilons, optimal_partition,
+    FRAGMENT_OVERHEAD_BITS, OutOfDomainError, default_epsilons, optimal_partition,
     select_pairs,
 )
 from repro.tsdata import DATASETS, load
+from tests.partition_reference import optimal_partition_reference
 
 
 def _series(seed, n=800):
@@ -192,7 +192,7 @@ class TestKernelMatchesReference:
         if lossy:
             eps = eps[:1]
         assert (_outcome(optimal_partition, ys, families, eps, lossy=lossy)
-                == _outcome(_optimal_partition_py, ys, families, eps, lossy=lossy))
+                == _outcome(optimal_partition_reference, ys, families, eps, lossy=lossy))
 
     @pytest.mark.parametrize("name", DATASETS)
     def test_same_payloads(self, name, monkeypatch):
@@ -201,33 +201,37 @@ class TestKernelMatchesReference:
         variants = ("neats", "leats", "sneats")
         kernel = [NeaTS.compress(ys, variant=v).to_bytes() for v in variants]
         lossy = _bits(NeaTSLossy.compress(ys, 16).pieces)
-        monkeypatch.setattr(alg1, "library", lambda: None)
+        for mod in (partition, neats_mod, lossy_mod):  # every caller of the sweep
+            monkeypatch.setattr(mod, "optimal_partition", optimal_partition_reference)
         assert kernel == [NeaTS.compress(ys, variant=v).to_bytes() for v in variants]
         assert lossy == _bits(NeaTSLossy.compress(ys, 16).pieces)
 
 
 class TestKernelBuild:
-    def test_falls_back_to_python_once_logged(self, monkeypatch, caplog):
+    def test_failed_build_raises_typed_error(self, monkeypatch):
+        """No fallback: without the library, encoding and decoding both stop
+        with NativeLibraryError, on every use."""
         def fail(*args, **kwargs):
             raise OSError("no compiler")
 
         ys = load("IT", n=300).ints
-        want = _bits(optimal_partition(ys, DEFAULT_FAMILIES, [0, 4]))
-        monkeypatch.setattr(alg1, "build", fail)
-        alg1.library.cache_clear()
+        payload = NeaTS.compress(ys).to_bytes()
+        monkeypatch.setattr(native, "build", fail)
+        native.library.cache_clear()
         try:
-            with caplog.at_level(logging.WARNING, logger=alg1.__name__):
-                assert _bits(optimal_partition(ys, DEFAULT_FAMILIES, [0, 4])) == want
-                assert _bits(optimal_partition(ys, DEFAULT_FAMILIES, [0, 4])) == want
-            assert len(caplog.records) == 1 and "no compiler" in caplog.text
+            for _ in range(2):
+                with pytest.raises(native.NativeLibraryError, match="no compiler"):
+                    optimal_partition(ys, DEFAULT_FAMILIES, [0, 4])
+                with pytest.raises(native.NativeLibraryError, match="no compiler"):
+                    NeaTS.from_bytes(payload)
         finally:
-            alg1.library.cache_clear()
+            native.library.cache_clear()
 
     def test_concurrent_builds_on_empty_cache(self, tmp_path):
         """Two processes building into one empty cache both load the same
         library, and no temporary file is left behind."""
-        code = ("import ctypes, sys; from repro.core import alg1; "
-                "p = alg1.build(sys.argv[1]); ctypes.CDLL(p).neats_alg1; print(p)")
+        code = ("import ctypes, sys; from repro.core import native; "
+                "p = native.build(sys.argv[1]); ctypes.CDLL(p).neats_view; print(p)")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         procs = [subprocess.Popen([sys.executable, "-c", code, str(tmp_path)], env=env,
                                   stdout=subprocess.PIPE, text=True) for _ in range(2)]
@@ -235,3 +239,29 @@ class TestKernelBuild:
         assert [p.returncode for p in procs] == [0, 0]
         assert outs[0] == outs[1]
         assert os.listdir(tmp_path) == [os.path.basename(outs[0])]
+
+
+class _NotAFamily(Family):
+    kind = "linear"
+
+
+class TestInputDomain:
+    """Inputs outside the kernel's domain are rejected up front."""
+
+    def test_family_outside_families(self):
+        with pytest.raises(OutOfDomainError, match="FAMILIES"):
+            optimal_partition(np.arange(10), [_NotAFamily()], [0])
+
+    @pytest.mark.parametrize("ys", [np.arange(10, dtype=np.float64), np.arange(10, dtype=np.uint64),
+                                    np.asarray([1, 2**70], dtype=object)])
+    def test_series_not_int64(self, ys):
+        with pytest.raises(OutOfDomainError, match="int64"):
+            optimal_partition(ys, [Linear()], [0])
+
+    @pytest.mark.parametrize("eps", [-1, 2**64])
+    def test_eps_outside_range(self, eps):
+        with pytest.raises(OutOfDomainError, match="eps"):
+            optimal_partition(np.arange(10), [Linear()], [0, eps])
+
+    def test_limits_accepted(self):
+        assert optimal_partition(np.arange(10, dtype=np.int32), [Linear()], [0, 2**64 - 1])

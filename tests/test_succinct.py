@@ -5,9 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.bitvector import RankBitvector
 from repro.core.eliasfano import EliasFano
-from repro.core.wavelet import WaveletTree
+from tests.succinct_reference import EliasFanoReader, RankBitvector
+from tests.wavelet_reference import WaveletTree
+
+
+def _read(vals) -> EliasFanoReader:
+    return EliasFanoReader(EliasFano(vals).serialize())
 
 
 class TestEliasFano:
@@ -15,18 +19,16 @@ class TestEliasFano:
     @settings(max_examples=60, deadline=None)
     def test_access_roundtrip(self, vals):
         vals = sorted(vals)
-        ef = EliasFano(vals)
-        assert ef.to_list() == vals
+        assert _read(vals).to_list() == vals
 
     @given(st.lists(st.integers(0, 10**6), min_size=1, max_size=200), st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
     def test_rank(self, vals, q):
         vals = sorted(vals)
-        ef = EliasFano(vals)
-        assert ef.rank(q) == bisect.bisect_right(vals, q)
+        assert _read(vals).rank(q) == bisect.bisect_right(vals, q)
 
     def test_predecessor_index(self):
-        ef = EliasFano([0, 5, 10])
+        ef = _read([0, 5, 10])
         assert ef.predecessor_index(0) == 0
         assert ef.predecessor_index(4) == 0
         assert ef.predecessor_index(5) == 1
@@ -50,12 +52,12 @@ class TestEliasFano:
     @settings(max_examples=40, deadline=None)
     def test_serialize_roundtrip(self, vals):
         vals = sorted(vals)
-        ef = EliasFano(vals)
-        blob = ef.serialize()
-        ef2, off = EliasFano.deserialize(blob, 0)
-        assert off == len(blob)
-        assert ef2.to_list() == vals
-        assert ef2.rank(vals[len(vals) // 2]) == ef.rank(vals[len(vals) // 2])
+        blob = b"x" + EliasFano(vals).serialize()
+        ef = EliasFanoReader(blob, 1)
+        assert ef.end == len(blob)
+        assert ef.to_list() == vals and ef[len(vals) - 1] == vals[-1]
+        q = vals[len(vals) // 2]
+        assert ef.rank(q) == bisect.bisect_right(vals, q)
 
 
 class TestRankBitvector:

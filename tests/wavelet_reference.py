@@ -1,12 +1,14 @@
 """Wavelet matrix over a small alphabet (functionally a wavelet tree).
 
-NeaTS stores the function-kind string ``K`` so that ``K.rank_f(i)`` — the
-number of fragments of kind ``f`` among the first ``i`` — runs in
-O(log |F|) time (Section III-C).  We use the wavelet *matrix* layout
-(Claude & Navarro), which supports the same access/rank operations as the
-wavelet tree with simpler level navigation: each level stably partitions
-the whole sequence by the current bit, and navigation only needs the
-global zero count per level.
+The paper stores the function-kind string ``K`` in a wavelet tree so that
+``K.rank_f(i)`` — the number of fragments of kind ``f`` among the first
+``i`` — runs in O(log |F|) time (Section III-C), and Algorithm 3 reads
+fragment i's parameters at ``P_f[K.rank_f(i + 1) - 1]``.  The payload
+stores ``K`` as a packed array and the C view computes every fragment's
+``rank_f`` in one pass, so this structure serves the tests as the
+reference for that addressing.  It is the wavelet *matrix* layout (SPIRE
+2012): each level stably partitions the whole sequence by the current bit,
+and navigation only needs the global zero count per level.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ import math
 
 import numpy as np
 
-from .bitvector import RankBitvector
+from tests.succinct_reference import RankBitvector
 
 __all__ = ["WaveletTree"]
 
