@@ -14,10 +14,13 @@ serialisation), the general-purpose codecs (``xz``/``zstd``/``lz4``/
 """
 from __future__ import annotations
 
+import sys
+import zipimport
 from typing import Iterator
 
 import numpy as np
 import pandas as pd
+from pyspark import TaskContext
 from pyspark.sql import DataFrame, functions as F
 from pyspark.sql.types import (
     BinaryType, LongType, StringType, StructField, StructType,
@@ -37,6 +40,35 @@ BLOCK_SCHEMA = StructType([
     StructField("codec", StringType(), False),
     StructField("payload", BinaryType(), False),
 ])
+
+
+def _lazy_zip_invalidate(self) -> None:
+    """CPython 3.13's ``zipimporter.invalidate_caches``: forget the cached
+    directory of the archive instead of reading it again now."""
+    zipimport._zip_directory_cache.pop(self.archive, None)
+
+
+def _install_lazy_zip_invalidate() -> None:
+    """Inside a Spark Python worker on CPython < 3.13, make
+    ``zipimporter.invalidate_caches`` lazy, as 3.13 does.
+
+    Before every task, ``pyspark.worker_util.setup_spark_files`` calls
+    ``importlib.invalidate_caches()``, and on 3.11 each ``zipimporter`` in
+    ``sys.path_importer_cache`` then re-reads its whole archive directory
+    (prefixes of ``pyspark.zip``, the spark-core jar, py4j): most of Spark's
+    per-task floor on a reused worker.  The executor functions of this
+    module reference its globals, so a worker imports it while unpickling
+    its first task and skips the re-reads from the next task on.  What this
+    gives up: an importer does not re-index a zip rewritten in place while
+    the worker lives (Python's behaviour before 3.10); an archive added
+    later has a new path and gets a new importer.  The driver and
+    in-process callers have no ``TaskContext`` and are left alone.
+    """
+    if sys.version_info < (3, 13) and TaskContext.get() is not None:
+        zipimport.zipimporter.invalidate_caches = _lazy_zip_invalidate
+
+
+_install_lazy_zip_invalidate()
 
 _GP_NAMES = {"xz": "Xz", "zstd": "Zstd", "lz4": "Lz4", "snappy": "Snappy", "brotli": "Brotli"}
 

@@ -24,16 +24,16 @@ def write_store(blocks: DataFrame, path: str) -> None:
 
 
 def read_blocks(spark: SparkSession, path: str) -> DataFrame:
-    return spark.read.parquet(path)
+    # The schema is known: inferring it would read the file footers on every
+    # call.  Partition columns (``op=0/``...) are still discovered.
+    return spark.read.schema(_codec.BLOCK_SCHEMA).parquet(path)
 
 
 def scan_range(spark: SparkSession, path: str, lo: int, hi: int) -> DataFrame:
-    """Range query over the store; the filter on ``start_idx`` is pushed to
-    the Parquet reader, so untouched row groups are never read."""
-    blocks = read_blocks(spark, path).filter(
-        (F.col("start_idx") < F.lit(hi)) & (F.col("start_idx") + F.col("n") > F.lit(lo))
-    )
-    return _codec.range_query(blocks, lo, hi)
+    """Range query over the store; ``range_query``'s filter on
+    ``start_idx`` sits directly on the file relation, so Spark pushes it to
+    the Parquet reader and untouched row groups are never read."""
+    return _codec.range_query(read_blocks(spark, path), lo, hi)
 
 
 def point_lookup(spark: SparkSession, path: str, keys: DataFrame, *, block_size: int) -> DataFrame:

@@ -1,16 +1,25 @@
 """Spark per-partition codec: block compression, decoding, random access,
 range queries — query results verified against the DuckDB oracle over the
-original uncompressed data."""
+original uncompressed data — and the worker-only lazy zip invalidation."""
+import importlib
+import os
+import sys
+import zipfile
+import zipimport
+
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark import TaskContext
 from pyspark.sql import functions as F
 
 from repro.oracle import assert_equivalent
+from repro.sparkio import codec
 from repro.sparkio.codec import (
     compress_to_blocks, decode_block, decompress_blocks, encode_block,
     random_access, range_query,
 )
+from repro.sparkio.rowgroup_store import scan_range, write_store
 from repro.tsdata import load
 
 N = 3000
@@ -88,12 +97,17 @@ class TestBlocksPipeline:
             original=pdf,
         )
 
-    def test_range_query_prunes_blocks(self, neats_blocks):
-        lo, hi = 0, 10  # touches only block 0
-        pruned = neats_blocks.filter(
-            (F.col("start_idx") < hi) & (F.col("start_idx") + F.col("n") > lo)
-        )
-        assert pruned.count() == 1
+    def test_scan_range_pushes_pruning_to_parquet(self, spark, neats_blocks, tmp_path):
+        n_blocks = (N + BLOCK - 1) // BLOCK
+        path = str(tmp_path / "store")
+        # one block per file, so that row-group statistics can skip each block
+        write_store(neats_blocks.repartitionByRange(n_blocks, "block_id"), path)
+        assert len([f for f in os.listdir(path) if f.endswith(".parquet")]) == n_blocks
+        got = scan_range(spark, path, 0, 10)  # touches only block 0
+        assert sorted(r["idx"] for r in got.collect()) == list(range(10))
+        scan = got._jdf.queryExecution().executedPlan().collectLeaves().apply(0)
+        assert "LessThan(start_idx,10)" in scan.metadata().apply("PushedFilters")
+        assert scan.metrics().apply("numOutputRows").value() == 1
 
     def test_random_access_join(self, spark, neats_blocks, series):
         rng = np.random.default_rng(0)
@@ -107,8 +121,97 @@ class TestBlocksPipeline:
             original=pdf,
         )
 
+    @pytest.mark.skipif(sys.version_info >= (3, 13), reason="zipimporter is lazy from CPython 3.13")
+    def test_workers_run_lazy_zip_invalidate(self, spark, neats_blocks):
+        decompress_blocks(neats_blocks).collect()
+
+        def probe(batches):  # must not reference the codec module, which would install the shim
+            for _ in batches:
+                pass
+            invalidate = zipimport.zipimporter.invalidate_caches
+            yield pd.DataFrame({
+                "codec_loaded": ["repro.sparkio.codec" in sys.modules],
+                "lazy": [invalidate.__module__ == "repro.sparkio.codec"
+                         and invalidate.__name__ == "_lazy_zip_invalidate"],
+            })
+
+        got = spark.range(0, 16, 1, 8).mapInPandas(probe, "codec_loaded boolean, lazy boolean").toPandas()
+        # a worker spawned for the probe alone has not loaded the codec and keeps the eager body
+        assert got["codec_loaded"].any()
+        assert (got["lazy"] == got["codec_loaded"]).all()
+
     def test_zstd_blocks_equivalent(self, spark, ts_df, series):
         blocks = compress_to_blocks(ts_df, codec="zstd", block_size=BLOCK)
         decoded = decompress_blocks(blocks)
         pdf = pd.DataFrame({"idx": np.arange(N), "y": series.ints})
         assert_equivalent(decoded, "SELECT idx, y FROM original", original=pdf)
+
+
+class TestLazyZipInvalidate:
+    """``codec._install_lazy_zip_invalidate``: inside a Spark task on CPython
+    < 3.13, ``importlib.invalidate_caches()`` stops re-reading zip archives."""
+
+    @pytest.fixture(autouse=True)
+    def eager(self, monkeypatch):
+        eager = zipimport.zipimporter.invalidate_caches
+        monkeypatch.setattr(zipimport.zipimporter, "invalidate_caches", eager)
+        monkeypatch.setattr(sys, "path_importer_cache", dict(sys.path_importer_cache))
+        return eager
+
+    @staticmethod
+    def zip_with(path, *modules):
+        with zipfile.ZipFile(path, "w") as z:
+            for name in modules:
+                z.writestr(f"{name}.py", f"NAME = {name!r}\n")
+        return str(path)
+
+    @staticmethod
+    def in_task(monkeypatch):
+        monkeypatch.setattr(TaskContext, "_taskContext", object())
+
+    def test_driver_is_untouched(self, eager):
+        assert TaskContext.get() is None
+        assert eager is not codec._lazy_zip_invalidate  # importing the codec installed nothing
+        codec._install_lazy_zip_invalidate()
+        assert zipimport.zipimporter.invalidate_caches is eager
+
+    @pytest.mark.skipif(sys.version_info >= (3, 13), reason="zipimporter is lazy from CPython 3.13")
+    def test_task_skips_rereading_archives(self, monkeypatch, tmp_path):
+        archive = self.zip_with(tmp_path / "a.zip", "lazy_zip_a")
+        sys.path_importer_cache[archive] = zipimport.zipimporter(archive)
+        reads = []
+        read_directory = zipimport._read_directory
+        monkeypatch.setattr(zipimport, "_read_directory", lambda p: reads.append(p) or read_directory(p))
+        importlib.invalidate_caches()
+        assert reads == [archive]  # the eager body re-reads the archive
+        self.in_task(monkeypatch)
+        codec._install_lazy_zip_invalidate()
+        codec._install_lazy_zip_invalidate()  # idempotent
+        assert zipimport.zipimporter.invalidate_caches is codec._lazy_zip_invalidate
+        importlib.invalidate_caches()
+        assert reads == [archive]
+
+    def test_imports_still_work(self, monkeypatch, tmp_path):
+        first = self.zip_with(tmp_path / "a.zip", "lazy_zip_a", "lazy_zip_b")
+        monkeypatch.setattr(sys, "path", sys.path + [first])
+        self.in_task(monkeypatch)
+        codec._install_lazy_zip_invalidate()
+        try:
+            assert importlib.import_module("lazy_zip_a").NAME == "lazy_zip_a"
+            importlib.invalidate_caches()
+            # an archive added after the shim, as ``addPyFile`` does
+            second = self.zip_with(tmp_path / "c.zip", "lazy_zip_c")
+            monkeypatch.setattr(sys, "path", sys.path + [second])
+            importlib.invalidate_caches()
+            assert importlib.import_module("lazy_zip_c").NAME == "lazy_zip_c"
+            # an importer that already held its archive still serves it
+            assert importlib.import_module("lazy_zip_b").NAME == "lazy_zip_b"
+        finally:
+            for name in ("lazy_zip_a", "lazy_zip_b", "lazy_zip_c"):
+                sys.modules.pop(name, None)
+
+    def test_noop_from_python_3_13(self, monkeypatch, eager):
+        monkeypatch.setattr(sys, "version_info", (3, 13, 0, "final", 0))
+        self.in_task(monkeypatch)
+        codec._install_lazy_zip_invalidate()
+        assert zipimport.zipimporter.invalidate_caches is eager
