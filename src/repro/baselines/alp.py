@@ -83,7 +83,7 @@ def _encode_vector(x: np.ndarray) -> _Vec:
 
 def _decode_vector(v: _Vec) -> np.ndarray:
     if v.width:
-        digits = read_packed(v.words, 0, v.width, v.n).astype(np.int64) + v.base
+        digits = read_packed(v.words, v.width, np.arange(v.n)).astype(np.int64) + v.base
     else:
         digits = np.full(v.n, v.base, dtype=np.int64)
     # digits * 10^f is an exact float (it equals the original d < 2^51),

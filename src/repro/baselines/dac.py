@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.bitstream import PackedArray, gather_packed, pad_words
+from ..core.bitstream import PackedArray, pad_words, read_packed
 from ..core.bitvector import RankBitvector
 
 __all__ = ["DACCodec", "DAC"]
@@ -95,7 +95,7 @@ class DAC:
         for lvl in range(len(self.levels)):
             if not len(idx):
                 break
-            chunks = gather_packed(self._level_words[lvl], self.width, idx, padded=True)
+            chunks = read_packed(self._level_words[lvl], self.width, idx, padded=True)
             out[live] |= chunks << shift
             cont = self._conts_bool[lvl][idx]
             idx = self._ranks[lvl][idx[cont]]

@@ -113,7 +113,8 @@ class LeCo:
             xs = np.arange(ln, dtype=np.float64)
             vals = np.floor(f.slope * xs + f.intercept).astype(np.int64)
             if f.width:
-                raw = read_packed(self._corr.words, self._offsets[i], f.width, ln).astype(np.int64)
+                raw = read_packed(self._corr.words, f.width, np.arange(ln),
+                                  start_bit=self._offsets[i]).astype(np.int64)
                 vals += raw - (1 << (f.width - 1))
             out[f.start:f.end] = vals
         return out

@@ -2,43 +2,26 @@
 
 The paper's lossy baseline: for a fixed eps, the greedy longest-fragment
 piecewise *linear* approximation, which is optimal in the number of pieces.
-Size accounting matches :func:`repro.core.lossy.lossy_size_bytes` so
-compression ratios are directly comparable with NeaTS-L and AA (Table II).
+It is a :class:`~repro.core.lossy.NeaTSLossy` with other pieces: the
+reconstruction, the error check and the size model are NeaTS-L's, so
+compression ratios are directly comparable with NeaTS-L and AA (Table II),
+except that a single family needs no kind tag.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from ..core.lossy import lossy_size_bytes
-from ..core.models import Linear, family_by_kind
-from ..core.piecewise import Piece, piecewise_partition
+from ..core.lossy import NeaTSLossy
+from ..core.models import Linear
+from ..core.piecewise import piecewise_partition
 
 __all__ = ["PLA"]
 
 
-class PLA:
-    def __init__(self, pieces: list[Piece], n: int, eps: int):
-        self.pieces = pieces
-        self.n = n
-        self.eps = eps
+class PLA(NeaTSLossy):
+    kind_bits = 0
 
     @classmethod
     def compress(cls, values, eps: int) -> "PLA":
         ys = np.asarray(values, dtype=np.int64)
-        pieces = piecewise_partition(ys, Linear(), int(eps))
-        return cls(pieces, len(ys), int(eps))
-
-    def approximate(self) -> np.ndarray:
-        out = np.empty(self.n, dtype=np.float64)
-        for p in self.pieces:
-            fam = family_by_kind(p.kind)
-            xs = np.arange(1, len(p) + 1, dtype=np.float64)
-            out[p.start:p.end] = fam.evaluate(p.params, xs)
-        return out
-
-    @property
-    def size_bytes(self) -> int:
-        return lossy_size_bytes(len(self.pieces), 2, kind_bits=0)
-
-    def max_error(self, values) -> float:
-        return float(np.max(np.abs(self.approximate() - np.asarray(values, dtype=np.float64))))
+        return cls(piecewise_partition(ys, Linear(), int(eps)), len(ys), 0, int(eps))

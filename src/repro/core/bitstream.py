@@ -12,7 +12,7 @@ import numpy as np
 
 __all__ = [
     "BitWriter", "BitReader", "PackedArray", "bits_for", "bits_for_signed",
-    "read_packed", "signed_width", "gather_packed", "pad_words", "pack_bits",
+    "read_packed", "signed_width", "pad_words", "pack_bits",
 ]
 
 
@@ -51,29 +51,6 @@ def signed_width(values) -> int:
                (-lo - 1).bit_length() + 1 if lo < 0 else 0)
 
 
-def read_packed(words: np.ndarray, start_bit: int, width: int, count: int) -> np.ndarray:
-    """Vectorised read of ``count`` fixed-``width`` fields starting at
-    ``start_bit``; returns unsigned values as uint64.
-
-    This is the SIMD-style decoding loop of Algorithm 2: every correction in
-    a fragment has the same width, so the whole fragment decodes with a few
-    numpy ops instead of a per-value Python loop.
-    """
-    if width == 0:
-        return np.zeros(count, dtype=np.uint64)
-    if not 1 <= width <= 63:
-        raise ValueError("vectorised path supports widths 1..63")
-    pos = start_bit + width * np.arange(count, dtype=np.int64)
-    w = (pos >> 6).astype(np.int64)
-    sh = (pos & 63).astype(np.uint64)
-    padded = np.concatenate([words.astype(np.uint64), np.zeros(1, dtype=np.uint64)])
-    lo = padded[w] >> sh
-    sh2 = (np.uint64(64) - sh) & np.uint64(63)  # 0 when sh == 0
-    hi = np.where(sh == 0, np.uint64(0), padded[w + 1] << sh2)
-    mask = np.uint64((1 << width) - 1)
-    return (lo | hi) & mask
-
-
 def pack_bits(values: np.ndarray, widths: np.ndarray) -> np.ndarray:
     """Vectorised :class:`BitWriter`: the words of the stream that writes
     each ``values[i]`` (non-negative, below ``2**widths[i]``) in
@@ -81,39 +58,43 @@ def pack_bits(values: np.ndarray, widths: np.ndarray) -> np.ndarray:
     vals = np.asarray(values).astype(np.uint64)
     widths = np.asarray(widths, dtype=np.int64)
     pos = np.cumsum(widths) - widths
-    words = np.zeros(max(1, (int(widths.sum()) + 63) // 64), dtype=np.uint64)
-    # a zero-width field writes nothing; at the end of a stream that fills
-    # its last word, the word it would index does not exist
-    nz = widths > 0
-    vals, widths, pos = vals[nz], widths[nz], pos[nz]
+    nwords = max(1, (int(widths.sum()) + 63) // 64)
+    # two spare words: a zero-width field at the end of a stream that fills
+    # its last word indexes the word after it, and its spill the next one
+    words = np.zeros(nwords + 2, dtype=np.uint64)
     idx = pos >> 6
     sh = (pos & 63).astype(np.uint64)
     np.bitwise_or.at(words, idx, vals << sh)
-    spill = (pos & 63) + widths > 64  # fields that cross into the next word
-    np.bitwise_or.at(words, idx[spill] + 1, vals[spill] >> (np.uint64(64) - sh[spill]))
-    return words
+    # the high bits that cross into the next word; (v >> 1) >> 63 is 0
+    # where v >> 64 would not be
+    np.bitwise_or.at(words, idx + 1, (vals >> np.uint64(1)) >> (np.uint64(63) - sh))
+    return words[:nwords]
 
 
 def pad_words(words: np.ndarray) -> np.ndarray:
-    """One trailing zero word so cross-boundary gathers never index OOB.
+    """One trailing zero word so cross-boundary reads never index OOB.
 
-    Gather helpers accept pre-padded buffers via ``padded=True`` — padding
-    per call would copy the whole bit buffer on every query."""
+    :func:`read_packed` accepts pre-padded buffers via ``padded=True`` —
+    padding per call would copy the whole bit buffer on every query."""
     return np.concatenate([words.astype(np.uint64), np.zeros(1, dtype=np.uint64)])
 
 
-def gather_packed(words: np.ndarray, width: int, idx: np.ndarray, *, padded: bool = False) -> np.ndarray:
-    """Gather fixed-``width`` fields at arbitrary element indexes ``idx``."""
+def read_packed(words: np.ndarray, width: int, idx, *, start_bit: int = 0,
+                padded: bool = False) -> np.ndarray:
+    """The fixed-``width`` fields at element indexes ``idx`` of the packed
+    array that starts at ``start_bit``, as uint64: the one vectorised reader
+    of fixed-width fields (a whole fragment or vector decodes with a few
+    numpy ops instead of a per-value Python loop)."""
     if width == 0:
         return np.zeros(len(idx), dtype=np.uint64)
     if not 1 <= width <= 63:
-        raise ValueError("gather supports widths 1..63")
-    pos = width * np.asarray(idx, dtype=np.int64)
-    w = (pos >> 6).astype(np.int64)
+        raise ValueError("read_packed supports widths 1..63")
+    pos = start_bit + width * np.asarray(idx, dtype=np.int64)
+    w = pos >> 6
     sh = (pos & 63).astype(np.uint64)
     pw = words if padded else pad_words(words)
     lo = pw[w] >> sh
-    sh2 = (np.uint64(64) - sh) & np.uint64(63)
+    sh2 = (np.uint64(64) - sh) & np.uint64(63)  # 0 when sh == 0
     hi = np.where(sh == 0, np.uint64(0), pw[w + 1] << sh2)
     return (lo | hi) & np.uint64((1 << width) - 1)
 
@@ -142,12 +123,6 @@ class BitWriter:
             self._nbits += take
             if (self._nbits & 63) == 0:
                 self._words.append(0)
-
-    def write_unary(self, q: int) -> None:
-        """``q`` zero bits followed by a one bit (Elias-Fano upper part)."""
-        for _ in range(q):
-            self.write(0, 1)
-        self.write(1, 1)
 
     def to_array(self) -> np.ndarray:
         n_words = (self._nbits + 63) // 64
@@ -199,15 +174,12 @@ class PackedArray:
     """
 
     def __init__(self, values, width: int | None = None) -> None:
-        vals = [int(v) for v in values]
-        if any(v < 0 for v in vals):
+        vals = np.asarray(values, dtype=np.int64)
+        if (vals < 0).any():
             raise ValueError("PackedArray stores unsigned values; map signed first")
         self._n = len(vals)
-        self._width = width if width is not None else bits_for(max(vals, default=0))
-        w = BitWriter()
-        for v in vals:
-            w.write(v, self._width)
-        self._reader = BitReader(w.to_array(), w.nbits)
+        self._width = width if width is not None else bits_for(int(vals.max(initial=0)))
+        self._reader = BitReader(pack_bits(vals, np.full(self._n, self._width)), self._n * self._width)
 
     def __len__(self) -> int:
         return self._n

@@ -11,7 +11,7 @@ import struct
 
 import numpy as np
 
-from .bitstream import BitWriter
+from .bitstream import pack_bits
 
 __all__ = ["EliasFano"]
 
@@ -29,17 +29,13 @@ class EliasFano:
         self._universe = int(vals[-1]) + 1 if self._n else 1
         # classic parameter choice: l = max(0, floor(log2(u/n)))
         self._l = max(0, (self._universe // max(1, self._n)).bit_length() - 1)
-        w = BitWriter()
-        for v in vals:
-            w.write(int(v) & ((1 << self._l) - 1) if self._l else 0, self._l)
-        self._low_words = w.to_array()
+        self._low_words = pack_bits(vals & ((1 << self._l) - 1), np.full(self._n, self._l))
         # upper bits in negated unary: element i sets bit (v >> l) + i
-        highs = (vals >> self._l) if self._l else vals.copy()
+        highs = vals >> self._l
         nbits_up = int(highs[-1]) + self._n if self._n else 0
-        pos = (highs + np.arange(self._n)) if self._n else np.array([], dtype=np.int64)
+        pos = highs + np.arange(self._n)
         words = np.zeros((nbits_up + 64) // 64 + 1, dtype=np.uint64)
-        for p in pos:
-            words[p >> 6] |= np.uint64(1) << np.uint64(p & 63)
+        np.bitwise_or.at(words, pos >> 6, np.left_shift(np.uint64(1), (pos & 63).astype(np.uint64)))
         self._up_words = words
         self._up_nbits = nbits_up
 

@@ -11,9 +11,10 @@ import struct
 
 import numpy as np
 
+from . import native
 from .models import DEFAULT_FAMILIES, family_by_kind
-from .partition import optimal_partition
-from .piecewise import Piece
+from .partition import optimal_partition, positivity_shift
+from .piecewise import Piece, frag_rows
 
 __all__ = ["NeaTSLossy", "lossy_size_bytes", "mape"]
 
@@ -47,6 +48,9 @@ def mape(actual: np.ndarray, approx: np.ndarray) -> float:
 class NeaTSLossy:
     """Space-minimal piecewise nonlinear eps-approximation of a series."""
 
+    #: bits of the per-piece kind tag in :attr:`size_bytes`
+    kind_bits = 2
+
     def __init__(self, pieces: list[Piece], n: int, shift: int, eps: int):
         self.pieces = pieces
         self.n = n
@@ -57,25 +61,19 @@ class NeaTSLossy:
     def compress(cls, values, eps: int, *, families=None) -> "NeaTSLossy":
         ys = np.asarray(values, dtype=np.int64)
         families = list(DEFAULT_FAMILIES if families is None else families)
-        shift = 0
-        if any(f.requires_positive for f in families):
-            shift = max(0, int(eps + 1 - ys.min()))
+        shift = positivity_shift(ys, families, eps)
         pieces = optimal_partition(ys + shift, families, [int(eps)], lossy=True)
         return cls(pieces, len(ys), shift, int(eps))
 
     def approximate(self) -> np.ndarray:
-        """The lossy reconstruction (float64), error <= eps per point."""
-        out = np.empty(self.n, dtype=np.float64)
-        for p in self.pieces:
-            fam = family_by_kind(p.kind)
-            xs = np.arange(p.delta + 1, p.delta + len(p) + 1, dtype=np.float64)
-            out[p.start:p.end] = fam.evaluate(p.params, xs)
-        return out - self.shift
+        """The lossy reconstruction (float64), error <= eps per point, from
+        the C evaluator that NeaTS payloads use."""
+        return native.evaluate(frag_rows(self.pieces, self.n), floor=False) - self.shift
 
     @property
     def size_bytes(self) -> int:
         per_piece = [family_by_kind(p.kind).n_params for p in self.pieces]
-        return lossy_size_bytes(len(self.pieces), per_piece)
+        return lossy_size_bytes(len(self.pieces), per_piece, kind_bits=self.kind_bits)
 
     def max_error(self, values) -> float:
         return float(np.max(np.abs(self.approximate() - np.asarray(values, dtype=np.float64))))

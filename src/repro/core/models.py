@@ -2,8 +2,13 @@
 
 Each family knows how to rewrite the error constraints
 ``|f(x_k) - y_k| <= eps`` into the transformed form
-``alpha_k <= t_k * m + b <= omega_k`` required by Theorem 1, how to map the
-fitted ``(m, b)`` back to its own parameters, and how to evaluate itself.
+``alpha_k <= t_k * m + b <= omega_k`` required by Theorem 1 and how to map
+the fitted ``(m, b)`` back to its own parameters.  It does not evaluate
+itself: ``eval_f`` in ``neats.c`` holds the one copy of the Table I
+formulas, which NeaTS, NeaTS-L and PLA all reach through
+:func:`repro.core.native.evaluate`.  The Python fitter here is
+PLA's fitter and the tests' reference for the C kernel (``alg1.c``);
+``perfbench --trace 1`` times it.
 
 Conventions
 -----------
@@ -12,15 +17,13 @@ Conventions
   the start index is already stored in ``S``).
 * ``y`` values are int64 and, for families flagged ``requires_positive``, the
   encoder guarantees ``y - eps > 0`` via a global shift stored in the header
-  (footnote 2 of the paper).
+  (footnote 2 of the paper; :func:`repro.core.partition.positivity_shift`).
 * ``FragmentFitter`` drives a :class:`repro.core.convex.SegmentStabber` and is
   the ``MakeApproximation`` primitive of Algorithm 1.
 """
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .convex import SegmentStabber
 
@@ -58,13 +61,6 @@ class Family:
     def params_from_mb(self, m: float, b: float, x0: int, y0: int) -> tuple:
         raise NotImplementedError
 
-    def evaluate(self, params: tuple, xs: np.ndarray) -> np.ndarray:
-        """Vectorised f(x) over local coordinates ``xs`` (float64 result), in
-        numpy: NeaTS-L, PLA and the tests use it.  NeaTS payloads are encoded
-        and decoded with the C evaluator of ``neats.c`` instead, whose libm
-        results numpy's SIMD loops need not match in the last bit."""
-        raise NotImplementedError
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<{type(self).__name__}>"
 
@@ -79,10 +75,6 @@ class Linear(Family):
     def params_from_mb(self, m, b, x0, y0):
         return (m, b)
 
-    def evaluate(self, params, xs):
-        th1, th2 = params
-        return th1 * xs + th2
-
 
 class Radical(Family):
     """f(x) = th1*sqrt(x) + th2 — Table I row 5."""
@@ -94,10 +86,6 @@ class Radical(Family):
     def params_from_mb(self, m, b, x0, y0):
         return (m, b)
 
-    def evaluate(self, params, xs):
-        th1, th2 = params
-        return th1 * np.sqrt(xs) + th2
-
 
 class Quadratic2(Family):
     """f(x) = th1*x^2 + th2 — Table I row 6."""
@@ -108,10 +96,6 @@ class Quadratic2(Family):
 
     def params_from_mb(self, m, b, x0, y0):
         return (m, b)
-
-    def evaluate(self, params, xs):
-        th1, th2 = params
-        return th1 * xs * xs + th2
 
 
 class Quadratic3(Family):
@@ -135,11 +119,6 @@ class Quadratic3(Family):
     def params_from_mb(self, m, b, x0, y0):
         return (m, b, float(y0))
 
-    def evaluate(self, params, xs):
-        th1, th2, y0 = params
-        th3 = y0 - th1 - th2  # anchor at local x0 = 1
-        return th1 * xs * xs + th2 * xs + th3
-
 
 class Exponential(Family):
     """f(x) = th2 * e^(th1*x) — Table I row 1 (needs y - eps > 0)."""
@@ -153,10 +132,6 @@ class Exponential(Family):
 
     def params_from_mb(self, m, b, x0, y0):
         return (m, math.exp(b))
-
-    def evaluate(self, params, xs):
-        th1, th2 = params
-        return th2 * np.exp(np.minimum(th1 * xs, 700.0))
 
 
 class Power(Family):
@@ -172,10 +147,6 @@ class Power(Family):
     def params_from_mb(self, m, b, x0, y0):
         return (m, math.exp(b))
 
-    def evaluate(self, params, xs):
-        th1, th2 = params
-        return th2 * np.power(xs.astype(np.float64), th1)
-
 
 class Logarithmic(Family):
     """f(x) = ln(th2 * x^th1) = th1*ln(x) + ln(th2) — Table I row 3."""
@@ -186,10 +157,6 @@ class Logarithmic(Family):
 
     def params_from_mb(self, m, b, x0, y0):
         return (m, b)  # store (th1, ln th2) directly
-
-    def evaluate(self, params, xs):
-        th1, lnth2 = params
-        return th1 * np.log(xs.astype(np.float64)) + lnth2
 
 
 class CubicOdd(Family):
@@ -202,11 +169,6 @@ class CubicOdd(Family):
 
     def params_from_mb(self, m, b, x0, y0):
         return (m, b)
-
-    def evaluate(self, params, xs):
-        th1, th2 = params
-        xf = xs.astype(np.float64)
-        return th1 * xf ** 3 + th2 * xf
 
 
 #: every implemented Table-I family, for coverage tests

@@ -22,7 +22,7 @@ import tempfile
 
 import numpy as np
 
-__all__ = ["FRAG", "NativeLibraryError", "View", "alg1", "build", "library"]
+__all__ = ["FRAG", "NativeLibraryError", "View", "alg1", "build", "evaluate", "library"]
 
 _DIR = os.path.dirname(os.path.abspath(__file__))
 _SOURCES = ("alg1.c", "neats.c")
@@ -94,6 +94,8 @@ def library() -> ctypes.CDLL:
     lib.neats_alg1.restype = ctypes.c_long
     lib.neats_eval.argtypes = [_PTR, _INT, _PTR]
     lib.neats_eval.restype = None
+    lib.neats_approx.argtypes = [_PTR, _INT, _PTR]
+    lib.neats_approx.restype = None
     lib.neats_view.argtypes = [_PTR]
     lib.neats_view.restype = ctypes.c_int
     lib.neats_access.argtypes = [_PTR, _INT]
@@ -103,6 +105,19 @@ def library() -> ctypes.CDLL:
     lib.neats_scan.argtypes = [_PTR, _INT, _INT, _PTR]
     lib.neats_scan.restype = None
     return lib
+
+
+def evaluate(frags: np.ndarray, *, floor: bool) -> np.ndarray:
+    """f(x) at every index covered by the ``FRAG`` rows ``frags[:-1]``,
+    whose last row is the sentinel ``start = n``.  With ``floor``, the int64
+    ``floor(f(x))`` that the NeaTS encoder and decoder share; without, the
+    float64 f(x) of a lossy reconstruction."""
+    if frags.dtype != FRAG or not frags.flags.c_contiguous:
+        raise TypeError("frags must be a contiguous FRAG array")
+    lib = library()
+    out = np.empty(int(frags["start"][-1]), dtype=np.int64 if floor else np.float64)
+    (lib.neats_eval if floor else lib.neats_approx)(frags.ctypes.data, len(frags) - 1, out.ctypes.data)
+    return out
 
 
 def alg1(ys: np.ndarray, kinds, eps, corr_bits, kappa) -> list[tuple]:

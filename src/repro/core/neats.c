@@ -1,14 +1,16 @@
 /* The Table I evaluator and Algorithms 2-3 of NeaTS, over a serialised
  * payload (the byte layout of repro.core.neats.NeaTS.to_bytes).
  *
- * eval_floor is the only evaluator of the fitted functions: the encoder
- * computes its corrections through neats_eval and the decoder adds them
- * back through neats_scan/neats_access, so both see the same floor(f(x))
- * whatever the host's numpy dispatches to.  To keep that value a property
- * of the payload format (NTS2), the file is built with -ffp-contract=off
- * (no fused multiply-add), each expression keeps the left-to-right order of
- * its Python transcription, and exp/log/pow/sqrt are the libm calls that
- * CPython's math module makes; x**3 is pow(x, 3.0).
+ * eval_f is the only evaluator of the fitted functions.  The NeaTS encoder
+ * computes its corrections from floor(f(x)) through neats_eval and the
+ * decoder adds them back through neats_scan/neats_access, so both see the
+ * same floor(f(x)) whatever the host's numpy dispatches to; NeaTS-L and PLA
+ * rebuild their approximations from the unfloored f(x) of neats_approx.
+ * To keep floor(f(x)) a property of the payload format (NTS2), the file is
+ * built with -ffp-contract=off (no fused multiply-add), each expression
+ * keeps the left-to-right order of its Python transcription, and
+ * exp/log/pow/sqrt are the libm calls that CPython's math module makes;
+ * x**3 is pow(x, 3.0).
  *
  * Memory: the caller owns every buffer.  neats_view reads the payload with
  * memcpy (its arrays start at unaligned offsets), checks every length field
@@ -47,40 +49,37 @@ enum { OK, BAD_MAGIC = -1, OVERRUN = -2, BAD_COUNT = -3, BAD_KIND = -4, SHORT_PA
 
 static const int N_PARAMS[N_KINDS] = {2, 2, 2, 3, 2, 2, 2, 2};
 
-/* floor(f(x)) of the fragment's function; NaN and values outside int64
- * give INT64_MIN, on the encoder's side and the decoder's alike. */
-static inline int64_t eval_floor(const frag *fr, double x)
+/* f(x) of the fragment's function, the Table I formula of its kind. */
+static inline double eval_f(const frag *fr, double x)
 {
     const double a = fr->p[0], b = fr->p[1];
-    double v, t;
+    double t;
     switch (fr->kind) {
     case LINEAR:
-        v = a * x + b;
-        break;
+        return a * x + b;
     case RADICAL:
-        v = a * sqrt(x) + b;
-        break;
+        return a * sqrt(x) + b;
     case QUADRATIC2:
-        v = a * x * x + b;
-        break;
+        return a * x * x + b;
     case QUADRATIC3: /* p = (th1, th2, y0), anchored at local x = 1 */
-        v = a * x * x + b * x + (fr->p[2] - a - b);
-        break;
+        return a * x * x + b * x + (fr->p[2] - a - b);
     case EXPONENTIAL: /* p = (th1, th2) */
         t = a * x;
-        v = b * exp(t > 700.0 ? 700.0 : t);
-        break;
+        return b * exp(t > 700.0 ? 700.0 : t);
     case POWER:
-        v = b * pow(x, a);
-        break;
+        return b * pow(x, a);
     case LOGARITHMIC: /* p = (th1, ln th2) */
-        v = a * log(x) + b;
-        break;
+        return a * log(x) + b;
     default: /* CUBIC_ODD */
-        v = a * pow(x, 3.0) + b * x;
-        break;
+        return a * pow(x, 3.0) + b * x;
     }
-    v = floor(v);
+}
+
+/* floor(f(x)); NaN and values outside int64 give INT64_MIN, on the
+ * encoder's side and the decoder's alike. */
+static inline int64_t eval_floor(const frag *fr, double x)
+{
+    double v = floor(eval_f(fr, x));
     return v >= -0x1p63 && v < 0x1p63 ? (int64_t)v : INT64_MIN;
 }
 
@@ -96,6 +95,15 @@ void neats_eval(const frag *frags, int64_t m, int64_t *out)
     for (int64_t i = 0; i < m; i++)
         for (int64_t k = frags[i].start; k < frags[i + 1].start; k++)
             out[k] = eval_floor(&frags[i], local_x(&frags[i], k));
+}
+
+/* f(x), unfloored, at every index of frags[0, m) into out[0, n): the lossy
+ * reconstruction of NeaTS-L and PLA. */
+void neats_approx(const frag *frags, int64_t m, double *out)
+{
+    for (int64_t i = 0; i < m; i++)
+        for (int64_t k = frags[i].start; k < frags[i + 1].start; k++)
+            out[k] = eval_f(&frags[i], local_x(&frags[i], k));
 }
 
 static inline uint64_t load64(const uint8_t *p)

@@ -45,13 +45,13 @@ from . import native
 from .bitstream import PackedArray, pack_bits, signed_width
 from .eliasfano import EliasFano
 from .models import DEFAULT_FAMILIES, FAMILIES, Linear
-from .partition import OutOfDomainError, default_epsilons, optimal_partition, select_pairs
+from .partition import default_epsilons, optimal_partition, positivity_shift, select_pairs
+from .piecewise import frag_rows
 
 __all__ = ["NeaTS", "CorruptPayloadError"]
 
 _MAGIC = b"NTS2"
 _HEADER = struct.Struct("<4sqqib")  # magic, n, shift, m, reserved 0
-_KIND_ID = {f.kind: i for i, f in enumerate(FAMILIES)}  # kind ids index FAMILIES
 
 #: ``neats_view``'s error codes
 _VIEW_ERRORS = {
@@ -69,17 +69,6 @@ class CorruptPayloadError(ValueError):
     """The bytes are not a well-formed NTS2 NeaTS payload."""
 
 
-def _floor_predictions(frags: np.ndarray) -> np.ndarray:
-    """``floor(f(x))`` at every index covered by the ``native.FRAG`` rows
-    ``frags[:-1]``, whose last row is the sentinel ``start = n``: the
-    evaluator that the decoder uses too."""
-    if frags.dtype != native.FRAG or not frags.flags.c_contiguous:
-        raise TypeError("frags must be a contiguous native.FRAG array")
-    out = np.empty(int(frags["start"][-1]), dtype=np.int64)
-    native.library().neats_eval(frags.ctypes.data, len(frags) - 1, out.ctypes.data)
-    return out
-
-
 def _packed(values) -> bytes:
     pa = PackedArray(values)
     return struct.pack("<iiq", len(pa), pa.width, len(pa.words)) + pa.words.tobytes()
@@ -92,15 +81,9 @@ class NeaTS:
         """Encode ``ys`` (the series plus ``shift``) along Algorithm 1's
         ``pieces``."""
         n, m = len(ys), len(pieces)
-        frags = np.zeros(m + 1, dtype=native.FRAG)
-        frags["start"] = [p.start for p in pieces] + [n]
-        frags["delta"][:m] = deltas = [p.delta for p in pieces]
-        frags["kind"][:m] = kinds = [_KIND_ID[p.kind] for p in pieces]
-        params_by_kind: dict[int, list[tuple]] = {}
-        for row, kind_id, p in zip(frags["p"], kinds, pieces):
-            row[:len(p.params)] = p.params
-            params_by_kind.setdefault(kind_id, []).append(p.params)
-        cs = ys - _floor_predictions(frags)  # int64, wrapping as the decoder's sum does
+        frags = frag_rows(pieces, n)
+        kinds = frags["kind"][:m]
+        cs = ys - native.evaluate(frags, floor=True)  # int64, wrapping as the decoder's sum does
         starts = frags["start"][:m]
         lengths = np.diff(frags["start"])
         widths = [signed_width(ends) for ends in
@@ -113,17 +96,17 @@ class NeaTS:
         parts = [
             _HEADER.pack(_MAGIC, n, shift, m, 0),
             _packed(widths),
-            _packed(deltas),
+            _packed(frags["delta"][:m]),
             EliasFano(starts.tolist()).serialize(),
             EliasFano(offsets).serialize(),
             _packed(kinds),
             struct.pack("<q", offsets[-1]),
             pack_bits(cs + half, point_widths).tobytes(),
         ]
-        for kind_id in sorted(params_by_kind):
-            plist = params_by_kind[kind_id]
-            parts.append(struct.pack("<ii", kind_id, len(plist)))
-            parts.append(np.asarray(plist, dtype=np.float64).tobytes())
+        for kind_id in np.unique(kinds).tolist():
+            params = frags["p"][:m][kinds == kind_id, :FAMILIES[kind_id].n_params]
+            parts.append(struct.pack("<ii", kind_id, len(params)))
+            parts.append(params.tobytes())
         parts.append(struct.pack("<i", -1))
         self._attach(b"".join(parts))
 
@@ -163,14 +146,7 @@ class NeaTS:
             families = [Linear()]
         if epsilons is None:
             epsilons = default_epsilons(ys, step_bits=eps_step_bits, max_bits=eps_max_bits)
-        # global positivity shift (footnote 2): y - eps > 0 for the largest eps
-        need_pos = any(f.requires_positive for f in families)
-        shift = 0
-        if need_pos:
-            shift = int(max(epsilons) + 1 - ys.min())
-            shift = max(shift, 0)
-        if int(ys.max()) + shift >= 1 << 63:
-            raise OutOfDomainError(f"the positivity shift {shift} takes the series past int64")
+        shift = positivity_shift(ys, families, max(epsilons))
         ys_shifted = ys + shift
 
         if variant == "sneats":

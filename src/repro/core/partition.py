@@ -36,7 +36,7 @@ from .models import DEFAULT_FAMILIES, FAMILIES, Family, Linear
 from .piecewise import Piece
 
 __all__ = [
-    "optimal_partition", "default_epsilons", "select_pairs",
+    "optimal_partition", "default_epsilons", "positivity_shift", "select_pairs",
     "FRAGMENT_OVERHEAD_BITS", "OutOfDomainError",
 ]
 
@@ -67,8 +67,25 @@ def default_epsilons(ys: np.ndarray, *, step_bits: int = 2, max_bits: int | None
 
 class OutOfDomainError(ValueError):
     """An input that Algorithm 1 does not take: a family outside
-    ``models.FAMILIES``, a series that cannot be cast to int64, or an eps
-    outside [0, 2^64)."""
+    ``models.FAMILIES``, a series that cannot be cast to int64, an eps
+    outside [0, 2^64), or a series that its positivity shift takes past
+    int64."""
+
+
+def positivity_shift(ys: np.ndarray, families: list[Family], eps: int) -> int:
+    """The global shift of footnote 2, stored in the header, that makes
+    ``y - eps > 0`` for every ``y`` when a family in ``families`` needs it
+    (else 0); ``eps`` is the largest error bound.  Raises
+    :class:`OutOfDomainError` if the shift or the shifted series leaves
+    int64."""
+    if len(ys) == 0:
+        return 0
+    shift = 0
+    if any(f.requires_positive for f in families):
+        shift = max(0, int(eps) + 1 - int(ys.min()))
+    if shift >= 1 << 63 or int(ys.max()) + shift >= 1 << 63:
+        raise OutOfDomainError(f"the positivity shift {shift} takes the series past int64")
+    return shift
 
 
 def optimal_partition(

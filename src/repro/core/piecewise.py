@@ -4,6 +4,9 @@ Repeatedly applying Theorem 1 from left to right yields, in O(n) time, the
 piecewise approximation with the *minimum number of pieces* for one
 ``(family, eps)`` pair — the greedy longest-fragment argument of the
 classic PLA literature carries over unchanged.
+
+:func:`frag_rows` turns any list of pieces (greedy or Algorithm 1's) into
+the rows that the C evaluator reads.
 """
 from __future__ import annotations
 
@@ -11,9 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import Family, FragmentFitter
+from . import native
+from .models import FAMILIES, Family, FragmentFitter
 
-__all__ = ["Piece", "piecewise_partition", "max_abs_error"]
+__all__ = ["Piece", "piecewise_partition", "frag_rows"]
+
+_KIND_ID = {f.kind: i for i, f in enumerate(FAMILIES)}  # kind ids index FAMILIES
 
 
 @dataclass(frozen=True)
@@ -21,7 +27,7 @@ class Piece:
     """A fragment [start, end) of the series with its fitted function.
 
     ``delta`` shifts the evaluation domain: the fragment's j-th value
-    (j = 1..len) is approximated by ``family.evaluate(params, j + delta)``.
+    (j = 1..len) is approximated by the family's f at local x = j + delta.
     Greedy pieces always have ``delta == 0``; Algorithm 1's suffix edges
     reuse a function fitted at an earlier origin and set ``delta > 0``.
     """
@@ -62,16 +68,15 @@ def piecewise_partition(ys: np.ndarray, family: Family, eps: int) -> list[Piece]
     return pieces
 
 
-def evaluate_piece(piece: Piece, family: Family) -> np.ndarray:
-    """Approximated values of a piece over its fragment (float64)."""
-    xs = np.arange(piece.delta + 1, piece.delta + len(piece) + 1, dtype=np.float64)
-    return family.evaluate(piece.params, xs)
-
-
-def max_abs_error(ys: np.ndarray, pieces: list[Piece], family_of) -> float:
-    """Max |f(x_k) - y_k| over the whole series (lossy error check)."""
-    worst = 0.0
-    for p in pieces:
-        approx = evaluate_piece(p, family_of(p.kind))
-        worst = max(worst, float(np.max(np.abs(approx - ys[p.start:p.end]))))
-    return worst
+def frag_rows(pieces: list[Piece], n: int) -> np.ndarray:
+    """The ``native.FRAG`` rows of ``pieces``, which tile ``[0, n)`` in
+    order, plus the sentinel row ``start = n``: the input of the C
+    evaluator, ``native.evaluate``."""
+    m = len(pieces)
+    frags = np.zeros(m + 1, dtype=native.FRAG)
+    frags["start"] = [p.start for p in pieces] + [n]
+    frags["delta"][:m] = [p.delta for p in pieces]
+    frags["kind"][:m] = [_KIND_ID[p.kind] for p in pieces]
+    for row, p in zip(frags["p"], pieces):
+        row[:len(p.params)] = p.params
+    return frags

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.bitstream import (
     BitReader, BitWriter, PackedArray, bits_for, bits_for_signed,
-    gather_packed, pack_bits, read_packed, signed_width,
+    pack_bits, pad_words, read_packed, signed_width,
 )
 
 
@@ -105,8 +105,8 @@ class TestWriterReader:
         words = pack_bits([1, 2, 0], [32, 32, 0])
         assert words.tolist() == [1 | 2 << 32]
         assert BitReader(words, 64).read(64, 0) == 0
-        assert gather_packed(words, 0, [1, 2]).tolist() == [0, 0]
-        assert gather_packed(words, 32, [1]).tolist() == [2]
+        assert read_packed(words, 0, [1, 2]).tolist() == [0, 0]
+        assert read_packed(words, 32, [1]).tolist() == [2]
         assert PackedArray([0, 0], width=0)[1] == 0
 
     def test_zero_width_write(self):
@@ -169,6 +169,8 @@ class TestReadPacked:
     @given(st.integers(1, 63), st.integers(0, 70), st.integers(0, 200))
     @settings(max_examples=60, deadline=None)
     def test_matches_scalar_reader(self, width, lead_bits, count):
+        """Every field in order after ``lead_bits``, and the fields at
+        shuffled indexes (repeats included) from pre-padded words."""
         rng = np.random.default_rng(width * 1000 + count)
         vals = [int(v) for v in rng.integers(0, 1 << width, count, dtype=np.uint64)]
         w = BitWriter()
@@ -176,13 +178,16 @@ class TestReadPacked:
         for v in vals:
             w.write(v, width)
         r = BitReader(w.to_array(), w.nbits)
-        got = read_packed(r.words, lead_bits, width, count)
+        got = read_packed(r.words, width, np.arange(count), start_bit=lead_bits)
         assert [int(g) for g in got] == vals
+        idx = rng.integers(0, count, count) if count else np.zeros(0, dtype=np.int64)
+        got = read_packed(pad_words(r.words), width, idx, start_bit=lead_bits, padded=True)
+        assert [int(g) for g in got] == [vals[i] for i in idx]
 
     def test_zero_width(self):
-        got = read_packed(np.zeros(1, dtype=np.uint64), 0, 0, 5)
+        got = read_packed(np.zeros(1, dtype=np.uint64), 0, np.arange(5))
         assert list(got) == [0] * 5
 
     def test_width_64_rejected(self):
         with pytest.raises(ValueError):
-            read_packed(np.zeros(2, dtype=np.uint64), 0, 64, 1)
+            read_packed(np.zeros(2, dtype=np.uint64), 64, [0])

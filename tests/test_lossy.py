@@ -6,6 +6,8 @@ from repro.baselines.aa import AA
 from repro.baselines.pla import PLA
 from repro.core.lossy import NeaTSLossy, lossy_size_bytes, mape
 from repro.core.models import Linear
+from repro.core.neats import NeaTS
+from repro.core.partition import OutOfDomainError
 from repro.tsdata import DATASETS, load
 
 N_TEST = 1536
@@ -101,9 +103,29 @@ class TestSizeModel:
                  for e in (_eps_for(ts, 0.1), _eps_for(ts, 1), _eps_for(ts, 10))]
         assert sizes[0] >= sizes[1] >= sizes[2]
 
+    def test_pla_size_has_no_kind_tag(self):
+        ts = load("CT", n=N_TEST)
+        pl = PLA.compress(ts.ints, _eps_for(ts))
+        assert pl.size_bytes == lossy_size_bytes(len(pl.pieces), 2, kind_bits=0)
+
     def test_pieces_cover(self):
         ts = load("DU", n=N_TEST)
         nl = NeaTSLossy.compress(ts.ints, _eps_for(ts))
         assert nl.pieces[0].start == 0 and nl.pieces[-1].end == ts.n
         for a, b in zip(nl.pieces, nl.pieces[1:]):
             assert a.end == b.start
+
+
+class TestDomain:
+    @pytest.mark.parametrize("ys", [
+        [-2**62, 0, 2**62, 2**62 + 5, 2**63 - 10],  # the shifted series leaves int64
+        [-2**63, -2**63 + 5, -2**63 + 1],  # the shift itself does
+    ])
+    def test_shift_past_int64_is_out_of_domain(self, ys):
+        """Lossless and lossy NeaTS reject a series whose positivity shift
+        leaves int64 alike, instead of wrapping into a wrong approximation."""
+        ys = np.array(ys, dtype=np.int64)
+        with pytest.raises(OutOfDomainError, match="shift"):
+            NeaTS.compress(ys)
+        with pytest.raises(OutOfDomainError, match="shift"):
+            NeaTSLossy.compress(ys, 4)

@@ -10,7 +10,7 @@ from repro.core.models import (
     Logarithmic, Power, Quadratic2, Quadratic3, Radical, family_by_kind,
     fit_fragment,
 )
-from repro.core.neats import _floor_predictions
+from repro.core.piecewise import Piece, frag_rows
 
 RNG = np.random.default_rng(0)
 
@@ -37,10 +37,15 @@ def _sample_from(family, n, rng):
     raise AssertionError(family)
 
 
-def _math_floor(kind, params, x):
-    """floor(f(x)) with the math module: the NTS2 evaluator's definition
-    (left-to-right order, libm calls, x**3 as pow(x, 3.0)); values outside
-    int64 and NaN map to int64's minimum."""
+def _evaluate(family, params, n, delta=0):
+    """f(x) at local x = delta + 1 .. delta + n, from the C evaluator."""
+    frags = frag_rows([Piece(0, n, family.kind, 0, tuple(params), delta)], n)
+    return native.evaluate(frags, floor=False)
+
+
+def _math_f(kind, params, x):
+    """f(x) with the math module: the NTS2 evaluator's definition
+    (left-to-right order, libm calls, x**3 as pow(x, 3.0))."""
     a, b, c = (*params, 0.0)[:3]
     if kind == "linear":
         v = a * x + b
@@ -61,6 +66,13 @@ def _math_floor(kind, params, x):
         v = a * math.log(x) + b
     else:
         v = a * math.pow(x, 3.0) + b * x
+    return v
+
+
+def _math_floor(kind, params, x):
+    """floor of :func:`_math_f`; values outside int64 and NaN map to int64's
+    minimum."""
+    v = _math_f(kind, params, x)
     if not -2.0**63 <= v < 2.0**63:  # also NaN
         return -2**63
     return math.floor(v)
@@ -80,14 +92,15 @@ class TestTableIFamilies:
         # fitting with 2*eps+1 slack: rounding + noise stay within the bound
         params = fit_fragment(family, 2 * eps + 1, data)
         assert params is not None, f"{family.kind} failed to cover its own data"
-        approx = family.evaluate(params, np.arange(1, n + 1, dtype=np.float64))
+        approx = _evaluate(family, params, n)
         assert np.max(np.abs(approx - data)) <= 2 * eps + 1 + 1e-6
 
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.kind)
     def test_c_evaluator_matches_math_transcription(self, family):
-        """The C evaluator shared by the NeaTS encoder and decoder gives
-        exactly the floor of the math-module transcription below, for fitted
-        parameters and for random ones, at local x up to 2^40."""
+        """The C evaluator gives exactly the math-module transcription above,
+        for fitted parameters and for random ones, at local x up to 2^40:
+        its floor for the NeaTS encoder and decoder, and the value itself
+        for NeaTS-L and PLA."""
         rng = np.random.default_rng(7)
         data = np.round(_sample_from(family, 50, rng)).astype(np.int64)
         fitted = fit_fragment(family, 10, data)
@@ -97,13 +110,13 @@ class TestTableIFamilies:
             cases.append(tuple(p[:family.n_params]))
         for params in cases:
             for delta in (0, 17, 2**20, 2**40):
-                frags = np.zeros(2, dtype=native.FRAG)
-                frags["start"] = [0, 64]
-                frags["delta"][0] = delta
-                frags["kind"][0] = FAMILIES.index(family)
-                frags["p"][0, :len(params)] = params
-                want = [_math_floor(family.kind, params, float(delta + j + 1)) for j in range(64)]
-                assert _floor_predictions(frags).tolist() == want, (params, delta)
+                frags = frag_rows([Piece(0, 64, family.kind, 0, params, delta)], 64)
+                xs = [float(delta + j + 1) for j in range(64)]
+                want = [_math_floor(family.kind, params, x) for x in xs]
+                assert native.evaluate(frags, floor=True).tolist() == want, (params, delta)
+                # exact, with NaN equal to NaN
+                np.testing.assert_array_equal(native.evaluate(frags, floor=False),
+                                              [_math_f(family.kind, params, x) for x in xs])
 
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.kind)
     def test_t_is_increasing_in_x(self, family):
@@ -152,7 +165,7 @@ class TestFragmentFitter:
             assert f.try_extend(100)
             assert len(f) == 1
             params = f.params()
-            v = fam.evaluate(params, np.asarray([1.0]))[0]
+            v = _evaluate(fam, params, 1)[0]
             if fam.anchored:
                 assert v == pytest.approx(100.0)
 
@@ -174,7 +187,7 @@ class TestFragmentFitter:
         for y in data:
             assert f.try_extend(y)
         params = f.params()
-        assert fam.evaluate(params, np.asarray([1.0]))[0] == pytest.approx(100.0, abs=1e-9)
+        assert _evaluate(fam, params, 1)[0] == pytest.approx(100.0, abs=1e-9)
 
     def test_default_families_are_papers_four(self):
         kinds = {f.kind for f in DEFAULT_FAMILIES}

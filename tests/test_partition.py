@@ -17,6 +17,7 @@ from repro.core.partition import (
     FRAGMENT_OVERHEAD_BITS, OutOfDomainError, default_epsilons, optimal_partition,
     select_pairs,
 )
+from repro.core.piecewise import frag_rows
 from repro.tsdata import DATASETS, load
 from tests.partition_reference import optimal_partition_reference
 
@@ -50,10 +51,10 @@ class TestOptimalPartition:
     @pytest.mark.parametrize("seed", range(5))
     def test_eps_bound_per_piece(self, seed):
         ys = _series(seed)
-        for p in optimal_partition(ys, DEFAULT_FAMILIES, [0, 2, 8, 32]):
-            fam = family_by_kind(p.kind)
-            xs = np.arange(p.delta + 1, p.delta + len(p) + 1, dtype=np.float64)
-            err = np.max(np.abs(fam.evaluate(p.params, xs) - ys[p.start:p.end]))
+        pieces = optimal_partition(ys, DEFAULT_FAMILIES, [0, 2, 8, 32])
+        approx = native.evaluate(frag_rows(pieces, len(ys)), floor=False)
+        for p in pieces:
+            err = np.max(np.abs(approx[p.start:p.end] - ys[p.start:p.end]))
             assert err <= p.eps + 1e-6
 
     def test_full_family_no_worse_than_linear_only(self):

@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
-from repro.core.models import DEFAULT_FAMILIES, Linear, Radical, family_by_kind
-from repro.core.piecewise import evaluate_piece, max_abs_error, piecewise_partition
+from repro.core import native
+from repro.core.models import DEFAULT_FAMILIES, Linear, Radical
+from repro.core.piecewise import frag_rows, piecewise_partition
 
 from tests.lp_oracle import longest_prefix
 
@@ -22,9 +23,8 @@ class TestGreedyPartition:
         assert pieces[0].start == 0 and pieces[-1].end == len(ys)
         for a, b in zip(pieces, pieces[1:]):
             assert a.end == b.start
-        for p in pieces:
-            approx = evaluate_piece(p, Linear())
-            assert np.max(np.abs(approx - ys[p.start:p.end])) <= eps + 1e-6
+        approx = native.evaluate(frag_rows(pieces, len(ys)), floor=False)
+        assert np.max(np.abs(approx - ys)) <= eps + 1e-6
 
     @pytest.mark.parametrize("seed", range(6))
     def test_piece_count_is_minimal_linear(self, seed):
@@ -54,8 +54,8 @@ class TestGreedyPartition:
         ys = _walk(11) + 100000  # positivity margin for log-domain families
         pieces = piecewise_partition(ys, family, 32)
         assert pieces[-1].end == len(ys)
-        err = max_abs_error(ys.astype(float), pieces, family_by_kind)
-        assert err <= 32 + 1e-6
+        approx = native.evaluate(frag_rows(pieces, len(ys)), floor=False)
+        assert np.max(np.abs(approx - ys)) <= 32 + 1e-6
 
     def test_constant_series_single_piece(self):
         ys = np.full(500, 42, dtype=np.int64)
