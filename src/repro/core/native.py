@@ -104,6 +104,8 @@ def library() -> ctypes.CDLL:
     lib.neats_access_many.restype = ctypes.c_int
     lib.neats_scan.argtypes = [_PTR, _INT, _INT, _PTR]
     lib.neats_scan.restype = None
+    lib.neats_encode.argtypes = [_PTR, _INT, _PTR, _INT, _PTR, _INT]
+    lib.neats_encode.restype = _INT
     return lib
 
 

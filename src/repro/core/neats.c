@@ -15,8 +15,10 @@
  * Memory: the caller owns every buffer.  neats_view reads the payload with
  * memcpy (its arrays start at unaligned offsets), checks every length field
  * against the buffer before reading, and fills one frag row per fragment
- * plus a sentinel row m with start = n and off = |C|.  Integers are
- * little-endian, as the payload is written on little-endian hosts.
+ * plus a sentinel row m with start = n and off = |C|.  neats_encode writes
+ * the same layout from those rows, within the capacity it is given.
+ * Integers are little-endian, as the payload is written on little-endian
+ * hosts.
  */
 #include <math.h>
 #include <stdint.h>
@@ -43,9 +45,10 @@ typedef struct {
     int64_t cwords;         /* out: byte offset of C's first word */
 } view;
 
-/* neats_view's error codes; repro.core.neats maps them to messages. */
+/* neats_view's and neats_encode's error codes; repro.core.neats maps them
+ * to messages. */
 enum { OK, BAD_MAGIC = -1, OVERRUN = -2, BAD_COUNT = -3, BAD_KIND = -4, SHORT_PARAMS = -5,
-       BAD_EF = -6, INCONSISTENT = -7 };
+       BAD_EF = -6, INCONSISTENT = -7, WIDE = -8 };
 
 static const int N_PARAMS[N_KINDS] = {2, 2, 2, 3, 2, 2, 2, 2};
 
@@ -111,6 +114,11 @@ static inline uint64_t load64(const uint8_t *p)
     uint64_t w;
     memcpy(&w, p, 8);
     return w;
+}
+
+static inline void store64(uint8_t *p, uint64_t w)
+{
+    memcpy(p, &w, 8);
 }
 
 /* The w-bit field (0 <= w <= 63) at bit pos of the words at base.  A
@@ -285,8 +293,8 @@ static int elias_fano(cursor *c, int64_t m, int64_t *out, size_t stride)
             return err_;          \
     } while (0)
 
-/* frags[0].f as the first of a column of int64 cells, one per row */
-#define COLUMN(f) &v->frags[0].f, sizeof(frag) / sizeof(int64_t)
+/* fr[0].f as the first of a column of int64 cells, one per row */
+#define COLUMN(f) &fr[0].f, sizeof(frag) / sizeof(int64_t)
 
 /* Parse and validate v->payload; fill v->frags[0, m] and the out fields.
  * Returns OK or a negative error code, never reading outside the buffer. */
@@ -364,4 +372,164 @@ int neats_view(view *v)
         if (used[k] != count[k])
             return INCONSISTENT;
     return OK;
+}
+
+/* -- serialising ---------------------------------------------------------- */
+
+typedef struct {
+    uint8_t *p;
+    int64_t cap, off;
+} sink;
+
+/* The next nbytes of the output, zeroed, or NULL if they overrun it. */
+static uint8_t *put(sink *s, int64_t nbytes)
+{
+    if (nbytes > s->cap - s->off)
+        return NULL;
+    uint8_t *at = s->p + s->off;
+    memset(at, 0, nbytes);
+    s->off += nbytes;
+    return at;
+}
+
+static int put_i32(sink *s, int32_t x)
+{
+    uint8_t *at = put(s, 4);
+    if (at)
+        memcpy(at, &x, 4);
+    return at != NULL;
+}
+
+static int put_i64(sink *s, int64_t x)
+{
+    uint8_t *at = put(s, 8);
+    if (at)
+        memcpy(at, &x, 8);
+    return at != NULL;
+}
+
+/* The one bit packer: ORs the field v < 2^w (0 <= w <= 63) into the zeroed
+ * words at base, at bit pos; read_bits reads it back. */
+static inline void write_bits(uint8_t *base, int64_t pos, uint64_t v, int w)
+{
+    if (w == 0)
+        return;
+    uint8_t *at = base + 8 * (pos >> 6);
+    int sh = (int)(pos & 63);
+    store64(at, load64(at) | v << sh);
+    if (sh + w > 64)
+        store64(at + 8, load64(at + 8) | v >> (64 - sh));
+}
+
+static inline int bit_length(uint64_t x)
+{
+    return x ? 64 - __builtin_clzll(x) : 0;
+}
+
+/* The PackedArray (count, width, words) of the m non-negative cells
+ * col[i * stride], in the smallest width >= 1 that holds the largest. */
+static int put_packed(sink *s, int64_t m, const int64_t *col, size_t stride)
+{
+    uint64_t top = 0;
+    for (int64_t i = 0; i < m; i++)
+        top |= (uint64_t)col[i * stride];
+    int width = bit_length(top) ? bit_length(top) : 1;
+    int64_t nwords = (m * width + 63) / 64;
+    nwords = nwords > 1 ? nwords : 1;
+    uint8_t *words;
+    if (!put_i32(s, (int32_t)m) || !put_i32(s, width) || !put_i64(s, nwords) || !(words = put(s, 8 * nwords)))
+        return OVERRUN;
+    for (int64_t i = 0; i < m; i++)
+        write_bits(words, i * width, (uint64_t)col[i * stride], width);
+    return OK;
+}
+
+/* The Elias-Fano sequence (count, universe, l, low words, upper words) of
+ * the count >= 1 non-decreasing, non-negative values col[i * stride], with
+ * l = floor(log2(universe / count)); the inverse of elias_fano. */
+static int put_elias_fano(sink *s, int64_t count, const int64_t *col, size_t stride)
+{
+    const uint64_t last = (uint64_t)col[(count - 1) * stride], universe = last + 1;
+    int l = bit_length(universe / (uint64_t)count);
+    l = l > 0 ? l - 1 : 0;
+    int64_t nlow = (count * l + 63) / 64, nup = (int64_t)((last >> l) + count + 64) / 64 + 1;
+    nlow = nlow > 1 ? nlow : 1;
+    uint8_t *low, *up;
+    if (!put_i64(s, count) || !put_i64(s, (int64_t)universe) || !put_i32(s, l) || !put_i64(s, nlow)
+        || !put_i64(s, nup) || !(low = put(s, 8 * nlow)) || !(up = put(s, 8 * nup)))
+        return OVERRUN;
+    for (int64_t i = 0; i < count; i++) {
+        uint64_t v = (uint64_t)col[i * stride], bit = (v >> l) + (uint64_t)i;
+        write_bits(low, i * l, v & ((UINT64_C(1) << l) - 1), l);
+        write_bits(up, (int64_t)bit, 1, 1);
+    }
+    return OK;
+}
+
+/* The smallest w such that every correction of fr fits two's-complement in
+ * w bits (0 when they are all 0). */
+static int correction_width(const frag *fr, const int64_t *cs)
+{
+    int64_t lo = 0, hi = 0;
+    for (int64_t k = fr[0].start; k < fr[1].start; k++) {
+        lo = cs[k] < lo ? cs[k] : lo;
+        hi = cs[k] > hi ? cs[k] : hi;
+    }
+    int wl = lo < 0 ? bit_length(~(uint64_t)lo) + 1 : 0, wh = hi > 0 ? bit_length((uint64_t)hi) + 1 : 0;
+    return wl > wh ? wl : wh;
+}
+
+/* Serialise frags[0, m) (start, delta, kind and p set; frags[m].start = n)
+ * and the corrections cs[0, n) into out[0, cap) in the layout neats_view
+ * parses, setting each row's width and off on the way.  Returns the
+ * payload's length; WIDE if some fragment's corrections need more than 63
+ * bits, OVERRUN if cap is too small. */
+int64_t neats_encode(frag *frags, int64_t m, const int64_t *cs, int64_t shift, uint8_t *out, int64_t cap)
+{
+    sink s = {out, cap, 0};
+    const int64_t n = frags[m].start;
+    frags[0].off = 0;
+    for (int64_t i = 0; i < m; i++) {
+        frags[i].width = correction_width(&frags[i], cs);
+        if (frags[i].width > 63)
+            return WIDE;
+        frags[i + 1].off = frags[i].off + frags[i].width * (frags[i + 1].start - frags[i].start);
+    }
+    uint8_t *at = put(&s, 4);
+    if (!at || !put_i64(&s, n) || !put_i64(&s, shift) || !put_i32(&s, (int32_t)m) || !put(&s, 1))
+        return OVERRUN;
+    memcpy(at, "NTS2", 4);
+    frag *fr = frags;
+    TRY(put_packed(&s, m, COLUMN(width)));
+    TRY(put_packed(&s, m, COLUMN(delta)));
+    TRY(put_elias_fano(&s, m, COLUMN(start)));
+    TRY(put_elias_fano(&s, m + 1, COLUMN(off)));
+    TRY(put_packed(&s, m, COLUMN(kind)));
+    const int64_t cbits = fr[m].off, nwords = (cbits + 63) / 64;
+    uint8_t *words;
+    if (!put_i64(&s, cbits) || !(words = put(&s, 8 * (nwords > 1 ? nwords : 1))))
+        return OVERRUN;
+    for (int64_t i = 0; i < m; i++) {
+        const int w = (int)fr[i].width;
+        const uint64_t half = w ? UINT64_C(1) << (w - 1) : 0;
+        for (int64_t k = fr[i].start; k < fr[i + 1].start; k++)
+            write_bits(words, fr[i].off + (k - fr[i].start) * w, (uint64_t)cs[k] + half, w);
+    }
+    for (int32_t k = 0; k < N_KINDS; k++) {
+        int32_t count = 0;
+        for (int64_t i = 0; i < m; i++)
+            count += fr[i].kind == k;
+        if (!count)
+            continue;
+        if (!put_i32(&s, k) || !put_i32(&s, count))
+            return OVERRUN;
+        for (int64_t i = 0; i < m; i++) {
+            if (fr[i].kind != k)
+                continue;
+            if (!(at = put(&s, 8 * N_PARAMS[k])))
+                return OVERRUN;
+            memcpy(at, fr[i].p, 8 * N_PARAMS[k]);
+        }
+    }
+    return put_i32(&s, -1) ? s.off : OVERRUN;
 }

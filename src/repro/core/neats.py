@@ -14,7 +14,8 @@ into one payload, the bytes of ``to_bytes``:
   suffix edges evaluate the fitted function at ``x + delta``).
 
 A ``NeaTS`` object is that payload and a view of it.  The C library
-(``neats.c``) validates the payload once, decodes S, B, O, K, P and D into
+(``neats.c``) writes the payload from the fragment rows and corrections
+(``neats_encode``), validates it once, decodes S, B, O, K, P and D into
 one row per fragment, and answers ``decompress``, ``scan``, ``access`` and
 ``access_many`` in one call each, from those rows and the payload's own
 ``C`` words.  A payload that does not parse raises
@@ -42,16 +43,13 @@ import struct
 import numpy as np
 
 from . import native
-from .bitstream import PackedArray, pack_bits, signed_width
-from .eliasfano import EliasFano
-from .models import DEFAULT_FAMILIES, FAMILIES, Linear
+from .models import DEFAULT_FAMILIES, Linear
 from .partition import default_epsilons, optimal_partition, positivity_shift, select_pairs
 from .piecewise import frag_rows
 
 __all__ = ["NeaTS", "CorruptPayloadError"]
 
-_MAGIC = b"NTS2"
-_HEADER = struct.Struct("<4sqqib")  # magic, n, shift, m, reserved 0
+_HEADER = struct.Struct("<4sqqib")  # magic b"NTS2", n, shift, m, reserved 0
 
 #: ``neats_view``'s error codes
 _VIEW_ERRORS = {
@@ -65,13 +63,15 @@ _VIEW_ERRORS = {
 }
 
 
+#: ``neats_encode``'s error codes
+_ENCODE_ERRORS = {
+    -2: "the payload overruns its buffer",
+    -8: "correction width > 63 bits — approximation broken",
+}
+
+
 class CorruptPayloadError(ValueError):
     """The bytes are not a well-formed NTS2 NeaTS payload."""
-
-
-def _packed(values) -> bytes:
-    pa = PackedArray(values)
-    return struct.pack("<iiq", len(pa), pa.width, len(pa.words)) + pa.words.tobytes()
 
 
 class NeaTS:
@@ -79,36 +79,18 @@ class NeaTS:
 
     def __init__(self, ys, *, shift, pieces):
         """Encode ``ys`` (the series plus ``shift``) along Algorithm 1's
-        ``pieces``."""
+        ``pieces``: corrections from the shared evaluator, then the whole
+        payload in one C call (``neats_encode``)."""
         n, m = len(ys), len(pieces)
         frags = frag_rows(pieces, n)
-        kinds = frags["kind"][:m]
         cs = ys - native.evaluate(frags, floor=True)  # int64, wrapping as the decoder's sum does
-        starts = frags["start"][:m]
-        lengths = np.diff(frags["start"])
-        widths = [signed_width(ends) for ends in
-                  zip(np.minimum.reduceat(cs, starts).tolist(), np.maximum.reduceat(cs, starts).tolist())]
-        if max(widths) > 63:
-            raise ValueError("correction width > 63 bits — approximation broken")
-        point_widths = np.repeat(widths, lengths)
-        half = np.where(point_widths > 0, np.left_shift(1, np.maximum(point_widths - 1, 0)), 0)
-        offsets = [0, *np.cumsum(np.asarray(widths) * lengths).tolist()]
-        parts = [
-            _HEADER.pack(_MAGIC, n, shift, m, 0),
-            _packed(widths),
-            _packed(frags["delta"][:m]),
-            EliasFano(starts.tolist()).serialize(),
-            EliasFano(offsets).serialize(),
-            _packed(kinds),
-            struct.pack("<q", offsets[-1]),
-            pack_bits(cs + half, point_widths).tobytes(),
-        ]
-        for kind_id in np.unique(kinds).tolist():
-            params = frags["p"][:m][kinds == kind_id, :FAMILIES[kind_id].n_params]
-            parts.append(struct.pack("<ii", kind_id, len(params)))
-            parts.append(params.tobytes())
-        parts.append(struct.pack("<i", -1))
-        self._attach(b"".join(parts))
+        # C takes at most 63 bits a point; every other section a few words a fragment
+        out = np.empty(8 * (n + 10 * m + 40), dtype=np.uint8)
+        size = native.library().neats_encode(frags.ctypes.data, m, cs.ctypes.data, shift,
+                                             out.ctypes.data, len(out))
+        if size < 0:
+            raise ValueError(_ENCODE_ERRORS[size])
+        self._attach(out[:size].tobytes())
 
     def _attach(self, blob: bytes) -> None:
         """Validate ``blob`` and decode its fragment rows, in one C call.

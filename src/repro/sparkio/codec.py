@@ -5,8 +5,9 @@ a time series DataFrame ``(idx, y)`` is split into fixed-size blocks (the
 "row groups"), each block is compressed *inside the executors* with
 ``applyInPandas``, and the result is a small DataFrame of binary payload
 rows that can be written to Parquet (see ``rowgroup_store``).  Random
-access and range scans decode only the touched blocks, using NeaTS's
-native in-block random access (Algorithm 3).
+access and range scans decode only the touched values of the touched
+blocks, with NeaTS's in-block random access (Algorithm 3) and range scan
+(Section IV-C4).
 
 Supported block codecs: ``neats`` / ``leats`` / ``sneats`` (NeaTS
 serialisation), the general-purpose codecs (``xz``/``zstd``/``lz4``/
@@ -70,12 +71,13 @@ def _install_lazy_zip_invalidate() -> None:
 
 _install_lazy_zip_invalidate()
 
+_NEATS = ("neats", "leats", "sneats")
 _GP_NAMES = {"xz": "Xz", "zstd": "Zstd", "lz4": "Lz4", "snappy": "Snappy", "brotli": "Brotli"}
 
 
 def encode_block(values: np.ndarray, codec: str) -> bytes:
     values = np.asarray(values, dtype=np.int64)
-    if codec in ("neats", "leats", "sneats"):
+    if codec in _NEATS:
         return NeaTS.compress(values, variant=codec).to_bytes()
     if codec in _GP_NAMES:
         return GPCodec(_GP_NAMES[codec]).compress(values)
@@ -87,7 +89,7 @@ def encode_block(values: np.ndarray, codec: str) -> bytes:
 
 
 def decode_block(payload: bytes, codec: str, n: int) -> np.ndarray:
-    if codec in ("neats", "leats", "sneats"):
+    if codec in _NEATS:
         return NeaTS.from_bytes(bytes(payload)).decompress()
     if codec in _GP_NAMES:
         return GPCodec(_GP_NAMES[codec]).decompress(bytes(payload), n_values=n)
@@ -178,7 +180,7 @@ def random_access(blocks: DataFrame, keys: DataFrame, *, block_size: int, key_co
                 payload, codec = pdf["payload"].iat[first], pdf["codec"].iat[first]
                 keys_in_block = all_keys[rows]
                 offsets = keys_in_block - int(pdf["start_idx"].iat[first])
-                if codec in ("neats", "leats", "sneats"):
+                if codec in _NEATS:
                     ys.append(NeaTS.from_bytes(payload).access_many(offsets))
                 else:
                     ys.append(decode_block(payload, codec, int(pdf["n"].iat[first]))[offsets])
@@ -189,10 +191,39 @@ def random_access(blocks: DataFrame, keys: DataFrame, *, block_size: int, key_co
 
 
 def range_query(blocks: DataFrame, lo: int, hi: int) -> DataFrame:
-    """Range scan [lo, hi): prune non-overlapping blocks by their
-    (start_idx, n) metadata — the row-group pruning analogue — then decode
-    and trim."""
-    pruned = blocks.filter(
-        (F.col("start_idx") < F.lit(hi)) & (F.col("start_idx") + F.col("n") > F.lit(lo))
-    )
-    return decompress_blocks(pruned).filter((F.col("idx") >= lo) & (F.col("idx") < hi))
+    """Range scan ``[lo, hi)``: decode only ``[lo, hi)`` of the blocks that
+    overlap it.
+
+    The plan depends on the range only through ``bound``, the smallest power
+    of two at or above ``hi``: one filter ``start_idx < bound`` sits on the
+    block relation, so over a Parquet store (``rowgroup_store.scan_range``)
+    it is pushed to the reader, which skips the row groups that start at or
+    after ``bound`` (< 2 * hi).  Spark inlines literals into its generated
+    code, so a filter on ``lo`` and ``hi`` themselves compiled new classes
+    for every new range; at most 64 values of ``bound`` exist (the last, past
+    int64, drops the filter), and Spark's code cache keeps them all.  The
+    exact selection is made in the executor: a block starting at ``start``
+    with ``n`` values yields its positions ``[max(lo - start, 0),
+    min(hi - start, n))``, through ``NeaTS.scan`` for NeaTS payloads."""
+    lo, hi = int(lo), int(hi)
+    bound = 1 << max(hi - 1, 0).bit_length()
+    if bound < 1 << 63:
+        blocks = blocks.filter(F.col("start_idx") < F.lit(bound))
+
+    def _trim(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        for pdf in batches:
+            idxs, ys = [], []
+            for start, n, codec, payload in zip(pdf["start_idx"].tolist(), pdf["n"].tolist(),
+                                                 pdf["codec"], pdf["payload"]):
+                a, b = max(lo - start, 0), min(hi - start, n)
+                if a >= b:
+                    continue
+                if codec in _NEATS:
+                    ys.append(NeaTS.from_bytes(payload).scan(a, b))
+                else:
+                    ys.append(decode_block(payload, codec, n)[a:b])
+                idxs.append(np.arange(start + a, start + b, dtype=np.int64))
+            if idxs:
+                yield pd.DataFrame({"idx": np.concatenate(idxs), "y": np.concatenate(ys)})
+
+    return blocks.mapInPandas(_trim, schema=_DECODED_SCHEMA)

@@ -10,8 +10,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.models import DEFAULT_FAMILIES, FAMILIES, Linear
 from repro.core.neats import CorruptPayloadError, NeaTS
-from repro.core.partition import OutOfDomainError
+from repro.core.partition import OutOfDomainError, default_epsilons, optimal_partition, positivity_shift
 from repro.tsdata import DATASETS, load
+from tests import encoder_reference
 from tests.wavelet_reference import WaveletTree
 
 N_TEST = 1536
@@ -305,6 +306,28 @@ class TestLosslessProperty:
         c2 = NeaTS.from_bytes(c.to_bytes())
         assert c2.to_bytes() == c.to_bytes()
         _check_lossless(c2, ys)
+
+
+class TestEncoderReference:
+    """The C writer ``neats_encode`` lays out the bytes of the numpy
+    serialiser of ``tests/encoder_reference.py``."""
+
+    @staticmethod
+    def check(ys, families):
+        eps = default_epsilons(ys)
+        shift = positivity_shift(ys, families, max(eps))
+        pieces = optimal_partition(ys + shift, families, list(eps))
+        got = NeaTS(ys + shift, shift=shift, pieces=pieces).to_bytes()
+        assert got == encoder_reference.payload(ys + shift, shift, pieces)
+
+    @pytest.mark.parametrize("name", DATASETS)
+    def test_datasets(self, name):
+        self.check(load(name, n=1024, seed=3).ints, list(DEFAULT_FAMILIES))
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(ys=_series(), families=st.sampled_from(_FAMILY_CHOICES))
+    def test_random_series(self, ys, families):
+        self.check(ys, list(families))
 
 
 def _payloads():

