@@ -6,11 +6,7 @@ regenerates the throughput table.
 import numpy as np
 import pytest
 
-from repro.baselines.alp import ALPCodec
-from repro.baselines.blockstore import BlockStore
-from repro.baselines.dac import DACCodec
-from repro.baselines.gp import GPCodec
-from repro.core.neats import NeaTS
+from repro.harness import CODECS, input_of
 from repro.tsdata import load
 
 N = 4096
@@ -22,18 +18,22 @@ def ts():
     return load("IT", n=N)
 
 
+#: Fig. 4 label -> codec table name: NeaTS runs as its SNeaTS variant
+FIG4 = {"NeaTS": "SNeaTS", "DAC": "DAC", "ALP": "ALP", "Lz4": "Lz4"}
+
+
 @pytest.fixture(scope="module")
 def artifacts(ts):
-    return {
-        "NeaTS": (NeaTS.compress(ts.ints, variant="sneats"), ts.ints),
-        "DAC": (DACCodec().build(ts.ints), ts.ints),
-        "ALP": (ALPCodec().compress(ts.floats), ts.floats),
-        "Lz4": (BlockStore(GPCodec("Lz4"), ts.ints), ts.ints),
-    }
+    out = {}
+    for label, name in FIG4.items():
+        domain, build = CODECS[name]
+        vals = input_of(ts, domain)
+        out[label] = (build(vals), vals)
+    return out
 
 
 @pytest.mark.parametrize("size", RANGES)
-@pytest.mark.parametrize("codec", ["NeaTS", "DAC", "ALP", "Lz4"])
+@pytest.mark.parametrize("codec", list(FIG4))
 def test_bench_range_query(benchmark, artifacts, codec, size):
     art, vals = artifacts[codec]
     rng = np.random.default_rng(size)

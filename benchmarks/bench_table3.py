@@ -8,7 +8,7 @@ regenerates the full 16-dataset table.
 import numpy as np
 import pytest
 
-from repro.harness import ALL_LOSSLESS, build_adapter
+from repro.harness import ALL_LOSSLESS, CODECS, input_of
 from repro.tsdata import load
 
 N = 3072
@@ -28,44 +28,44 @@ def ts():
 def artifacts(ts):
     out = {}
     for name in ALL_LOSSLESS:
-        ad = build_adapter(name)
-        vals = ad.input_of(ts)
-        out[name] = (ad, vals, ad.build(vals))
+        domain, build = CODECS[name]
+        vals = input_of(ts, domain)
+        out[name] = (vals, build(vals))
     return out
 
 
 @pytest.mark.parametrize("name", ALL_LOSSLESS)
 def test_bench_compress(benchmark, ts, name):
-    ad = build_adapter(name)
-    vals = ad.input_of(ts)
+    domain, build = CODECS[name]
+    vals = input_of(ts, domain)
     rounds = 1 if name in _SLOW_COMPRESS else 3
-    art = benchmark.pedantic(ad.build, args=(vals,), rounds=rounds, iterations=1)
-    assert ad.size_bytes(art) > 0
+    art = benchmark.pedantic(build, args=(vals,), rounds=rounds, iterations=1)
+    assert art.size_bytes > 0
 
 
 @pytest.mark.parametrize("name", ALL_LOSSLESS)
 def test_bench_decompress(benchmark, artifacts, name):
-    ad, vals, art = artifacts[name]
-    out = benchmark.pedantic(ad.decompress, args=(art,), rounds=3, iterations=1)
+    vals, art = artifacts[name]
+    out = benchmark.pedantic(art.decompress, rounds=3, iterations=1)
     assert np.array_equal(np.asarray(out), vals)
 
 
 @pytest.mark.parametrize("name", ALL_LOSSLESS)
 def test_bench_random_access(benchmark, artifacts, name):
-    ad, vals, art = artifacts[name]
+    vals, art = artifacts[name]
     rng = np.random.default_rng(0)
     idx = rng.integers(0, len(vals), 64)
 
     def batch():
         for k in idx:
-            ad.access(art, int(k))
+            art.access(int(k))
 
     benchmark.pedantic(batch, rounds=3, iterations=1)
     for k in idx[:8]:
-        assert ad.access(art, int(k)) == vals[k]
+        assert art.access(int(k)) == vals[k]
 
 
 def test_bench_neats_serialise(benchmark, artifacts):
-    ad, vals, art = artifacts["NeaTS"]
+    vals, art = artifacts["NeaTS"]
     blob = benchmark.pedantic(art.to_bytes, rounds=3, iterations=1)
     assert len(blob) < 8 * len(vals)

@@ -4,9 +4,7 @@ random-access/decompression codecs — ALP, DAC, Lz4 (block-wise) and NeaTS
 
 The paper's claim: DAC is fastest below ~40 points, NeaTS above, both an
 order of magnitude beyond the block-decompression codecs at small ranges.
-
-Also demonstrates the Spark row-group store: the same range queries
-answered through ``repro.sparkio`` with DuckDB-oracle-verified results.
+(``jobs/spark_store.py`` runs range queries on the Spark row-group store.)
 
 Run:  python jobs/range_queries.py [--n 16384] [--queries 200]
 """
@@ -18,25 +16,23 @@ import time
 
 import numpy as np
 
-from repro.baselines.alp import ALPCodec
-from repro.baselines.blockstore import BlockStore
-from repro.baselines.dac import DACCodec
-from repro.baselines.gp import GPCodec
-from repro.core.neats import NeaTS
-from repro.runner import dump_json, get_spark
+from repro.harness import CODECS, input_of
+from repro.runner import dump_json
 from repro.tsdata import load
 
 #: the largest datasets, as in the paper ("averaged over the 11 largest")
 RANGE_DATASETS = ["IT", "US", "ECG", "WD", "AP"]
 
+#: Fig. 4 label -> codec table name: NeaTS runs as its SNeaTS variant
+FIG4 = {"NeaTS": "SNeaTS", "DAC": "DAC", "ALP": "ALP", "Lz4": "Lz4"}
+
 
 def build_artifacts(ts):
-    return {
-        "NeaTS": NeaTS.compress(ts.ints, variant="sneats"),
-        "DAC": DACCodec().build(ts.ints),
-        "ALP": ALPCodec().compress(ts.floats),
-        "Lz4": BlockStore(GPCodec("Lz4"), ts.ints),
-    }
+    arts = {}
+    for label, name in FIG4.items():
+        domain, build = CODECS[name]
+        arts[label] = build(input_of(ts, domain))
+    return arts
 
 
 def run(*, n: int | None = None, n_queries: int = 200, max_k: int = 9, seed: int = 0) -> list[dict]:
@@ -48,7 +44,7 @@ def run(*, n: int | None = None, n_queries: int = 200, max_k: int = 9, seed: int
         ts = load(ds, n=n)
         arts[ds] = (ts, build_artifacts(ts))
     for size in sizes:
-        for name in ("NeaTS", "DAC", "ALP", "Lz4"):
+        for name in FIG4:
             total_t, total_q = 0.0, 0
             for ds, (ts, art) in arts.items():
                 if size >= ts.n:
@@ -66,7 +62,7 @@ def run(*, n: int | None = None, n_queries: int = 200, max_k: int = 9, seed: int
 
 def print_table(rows: list[dict]) -> None:
     sizes = sorted({r["range"] for r in rows})
-    codecs = ["NeaTS", "DAC", "ALP", "Lz4"]
+    codecs = list(FIG4)
     print(f"{'range':>7s} " + " ".join(f"{c:>10s}" for c in codecs) + "   (queries/s)")
     for s in sizes:
         vals = {r["codec"]: r["qps"] for r in rows if r["range"] == s}

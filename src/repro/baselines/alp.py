@@ -132,7 +132,6 @@ class ALP:
 
 class ALPCodec:
     name = "ALP"
-    domain = "float"
 
     def compress(self, values: np.ndarray) -> ALP:
         return ALP(values)

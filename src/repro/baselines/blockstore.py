@@ -4,8 +4,8 @@
 of 1000 consecutive values [and] maintain an array that maps each block
 index to a pointer referencing the starting byte of the block" — this
 module is exactly that wrapper, generic over any stream codec with
-``compress(values) -> bytes`` / ``decompress(bytes) -> values`` (XOR
-codecs) or the byte-oriented general-purpose codecs.
+``compress(values) -> bytes`` / ``decompress(bytes, n_values) -> values``:
+the general-purpose codecs and the XOR codecs.
 """
 from __future__ import annotations
 
@@ -33,10 +33,7 @@ class BlockStore:
         return sum(len(p) for p in self.payloads) + 8 * len(self.payloads) + 16
 
     def _decode_block(self, b: int) -> np.ndarray:
-        n_vals = min(self.block, self.n - b * self.block)
-        if getattr(self.codec, "domain", None) == "bytes":
-            return self.codec.decompress(self.payloads[b], n_values=n_vals, dtype=self.dtype)
-        return self.codec.decompress(self.payloads[b])
+        return self.codec.decompress(self.payloads[b], min(self.block, self.n - b * self.block))
 
     def decompress(self) -> np.ndarray:
         return np.concatenate([self._decode_block(b) for b in range(len(self.payloads))])

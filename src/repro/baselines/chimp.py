@@ -82,7 +82,7 @@ class ChimpCodec:
             prev = v
         return len(vals).to_bytes(8, "little") + w.nbits.to_bytes(8, "little") + w.to_array().tobytes()
 
-    def decompress(self, blob: bytes) -> np.ndarray:
+    def decompress(self, blob: bytes, n_values: int) -> np.ndarray:
         if not blob:
             return np.empty(0, dtype=np.uint64)
         n = int.from_bytes(blob[:8], "little")
@@ -179,7 +179,7 @@ class Chimp128Codec:
                     lead_prev = lead
         return n.to_bytes(8, "little") + w.nbits.to_bytes(8, "little") + w.to_array().tobytes()
 
-    def decompress(self, blob: bytes) -> np.ndarray:
+    def decompress(self, blob: bytes, n_values: int) -> np.ndarray:
         if not blob:
             return np.empty(0, dtype=np.uint64)
         n = int.from_bytes(blob[:8], "little")

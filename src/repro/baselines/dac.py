@@ -110,10 +110,15 @@ class DAC:
     def size_bits(self) -> int:
         return sum(p.size_bits for p in self.levels) + sum(b.size_bits for b in self.conts)
 
+    @property
+    def size_bytes(self) -> int:
+        """Serialised size: the levels and continuation bitvectors plus a
+        16-byte header."""
+        return self.size_bits // 8 + 16
+
 
 class DACCodec:
     name = "DAC"
-    domain = "int"
 
     def __init__(self, widths=(2, 4, 8, 16)):
         self.widths = widths
@@ -125,7 +130,3 @@ class DACCodec:
             if best is None or d.size_bits < best.size_bits:
                 best = d
         return best
-
-    # stream-codec interface for the generic harness (size via structure)
-    def compress(self, values: np.ndarray) -> DAC:
-        return self.build(values)

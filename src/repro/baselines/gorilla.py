@@ -29,7 +29,9 @@ def _ctz64(x: int) -> int:
 
 
 class GorillaCodec:
-    """Stream codec interface: compress(uint64 array) -> bytes."""
+    """Stream codec interface: ``compress(uint64 array) -> bytes`` and
+    ``decompress(bytes, n_values) -> uint64 array``; the XOR codecs store
+    the count in their header and ignore ``n_values``."""
 
     name = "Gorilla"
     domain = "bits"  # consumes raw 64-bit payloads
@@ -63,7 +65,7 @@ class GorillaCodec:
             prev = v
         return len(vals).to_bytes(8, "little") + w.nbits.to_bytes(8, "little") + w.to_array().tobytes()
 
-    def decompress(self, blob: bytes) -> np.ndarray:
+    def decompress(self, blob: bytes, n_values: int) -> np.ndarray:
         if not blob:
             return np.empty(0, dtype=np.uint64)
         n = int.from_bytes(blob[:8], "little")

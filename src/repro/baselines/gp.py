@@ -17,7 +17,7 @@ __all__ = ["GPCodec", "GP_CODECS"]
 
 
 class GPCodec:
-    domain = "bytes"
+    domain = "int"  # consumes int64 values
 
     def __init__(self, name: str):
         self.name = name
@@ -33,9 +33,9 @@ class GPCodec:
     def compress(self, values: np.ndarray) -> bytes:
         return self._c(np.ascontiguousarray(values).tobytes())
 
-    def decompress(self, blob: bytes, *, n_values: int, dtype=np.int64) -> np.ndarray:
+    def decompress(self, blob: bytes, n_values: int) -> np.ndarray:
         raw = self._d(blob, n_values * 8)
-        return np.frombuffer(raw, dtype=dtype, count=n_values)
+        return np.frombuffer(raw, dtype=np.int64, count=n_values)
 
 
 GP_CODECS = ["Xz", "Brotli", "Zstd", "Lz4", "Snappy"]

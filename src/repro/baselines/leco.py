@@ -126,7 +126,6 @@ def len_(f: _Frag) -> int:
 
 class LeCoCodec:
     name = "LeCo"
-    domain = "int"
 
     def compress(self, values: np.ndarray) -> LeCo:
         return LeCo(values)

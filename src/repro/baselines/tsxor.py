@@ -81,7 +81,7 @@ class TSXorCodec:
                 window.pop()
         return bytes(out)
 
-    def decompress(self, blob: bytes) -> np.ndarray:
+    def decompress(self, blob: bytes, n_values: int) -> np.ndarray:
         n = int.from_bytes(blob[:8], "little")
         pos = 8
         out = np.empty(n, dtype=np.uint64)

@@ -1,10 +1,13 @@
 """Bit-level substrate: a bit writer/reader and fixed-width packed arrays.
 
-The NeaTS encoder writes what it stores (corrections ``C``, packed integer
-arrays, the Elias-Fano lower-bits block) with this module, as do the
-bit-packed baselines.  Words are stored little-endian-in-bits inside a
-``numpy`` ``uint64`` buffer: bit ``i`` of the stream is bit ``i % 64`` of
-word ``i // 64``.
+The bit-packed baselines (Gorilla, Chimp, LeCo, ALP, DAC) write and read
+through this module.  NeaTS packs its payload in C (``neats_encode`` and
+the decoder in ``neats.c``) and takes only ``bits_for_signed`` from here,
+for Algorithm 1's correction widths; the Python NeaTS serialiser in
+``tests/encoder_reference.py``, the C writer's reference, still writes
+with it.  Words are stored little-endian-in-bits inside a ``numpy``
+``uint64`` buffer: bit ``i`` of the stream is bit ``i % 64`` of word
+``i // 64``.
 """
 from __future__ import annotations
 

@@ -1,22 +1,25 @@
-"""Uniform adapters + timers for the Table II / Table III harnesses.
+"""The Table III codec table and its timers.
 
-Every compressor is wrapped in an adapter exposing::
+:data:`CODECS` maps each Table III name to the input domain the codec
+consumes and a function that builds its artifact from those values.  Every
+artifact answers::
 
-    build(ts)        -> artifact (measures compression time)
     size_bytes       -> honest serialised size
     decompress()     -> the original value array
     access(k)        -> one value (random access operation)
 
-XOR codecs and ALP consume the IEEE-754 bits of the float values;
-NeaTS / DAC / LeCo and the general-purpose codecs consume the
-fixed-precision int64 values — mirroring Section IV-A1 ("unless the
-compressor is designed for doubles").  Codecs without native random access
-go through the 1000-value :class:`BlockStore` wrapper (Section IV-A2).
+XOR codecs consume the IEEE-754 bits of the float values (``"bits"``) and
+ALP the floats themselves (``"float"``); NeaTS / DAC / LeCo and the
+general-purpose codecs consume the fixed-precision int64 values
+(``"int"``) — mirroring Section IV-A1 ("unless the compressor is designed
+for doubles").  Codecs without native random access go through the
+1000-value :class:`BlockStore` wrapper (Section IV-A2).
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -31,7 +34,7 @@ from .baselines.tsxor import TSXorCodec
 from .core.neats import NeaTS
 from .tsdata import TimeSeries
 
-__all__ = ["Adapter", "ALL_LOSSLESS", "build_adapter", "Measurement", "measure"]
+__all__ = ["ALL_LOSSLESS", "CODECS", "input_of", "Measurement", "measure"]
 
 
 @dataclass
@@ -45,127 +48,6 @@ class Measurement:
     extra: dict = field(default_factory=dict)
 
 
-class Adapter:
-    name: str = "?"
-
-    def input_of(self, ts: TimeSeries) -> np.ndarray:
-        raise NotImplementedError
-
-    def build(self, values: np.ndarray):
-        raise NotImplementedError
-
-    def size_bytes(self, art) -> int:
-        raise NotImplementedError
-
-    def decompress(self, art) -> np.ndarray:
-        raise NotImplementedError
-
-    def access(self, art, k: int):
-        raise NotImplementedError
-
-
-class _BlockwiseAdapter(Adapter):
-    """GP codecs + XOR streams via the 1000-value block wrapper."""
-
-    def __init__(self, codec, domain: str):
-        self.codec = codec
-        self.name = codec.name
-        self.domain = domain
-
-    def input_of(self, ts):
-        return ts.floats.view(np.uint64) if self.domain == "bits" else ts.ints
-
-    def build(self, values):
-        return BlockStore(self.codec, values)
-
-    def size_bytes(self, art):
-        return art.size_bytes
-
-    def decompress(self, art):
-        return art.decompress()
-
-    def access(self, art, k):
-        return art.access(k)
-
-
-class _NeaTSAdapter(Adapter):
-    def __init__(self, variant: str = "neats", label: str | None = None):
-        self.variant = variant
-        self.name = label or {"neats": "NeaTS", "leats": "LeaTS", "sneats": "SNeaTS"}[variant]
-
-    def input_of(self, ts):
-        return ts.ints
-
-    def build(self, values):
-        return NeaTS.compress(values, variant=self.variant)
-
-    def size_bytes(self, art):
-        return art.size_bytes
-
-    def decompress(self, art):
-        return art.decompress()
-
-    def access(self, art, k):
-        return art.access(k)
-
-
-class _DACAdapter(Adapter):
-    name = "DAC"
-
-    def input_of(self, ts):
-        return ts.ints
-
-    def build(self, values):
-        return DACCodec().build(values)
-
-    def size_bytes(self, art):
-        return art.size_bits // 8 + 16
-
-    def decompress(self, art):
-        return art.decompress()
-
-    def access(self, art, k):
-        return art.access(k)
-
-
-class _LeCoAdapter(Adapter):
-    name = "LeCo"
-
-    def input_of(self, ts):
-        return ts.ints
-
-    def build(self, values):
-        return LeCoCodec().compress(values)
-
-    def size_bytes(self, art):
-        return art.size_bytes
-
-    def decompress(self, art):
-        return art.decompress()
-
-    def access(self, art, k):
-        return art.access(k)
-
-
-class _ALPAdapter(Adapter):
-    name = "ALP"
-
-    def input_of(self, ts):
-        return ts.floats
-
-    def build(self, values):
-        return ALPCodec().compress(values)
-
-    def size_bytes(self, art):
-        return art.size_bytes
-
-    def decompress(self, art):
-        return art.decompress()
-
-    def access(self, art, k):
-        return art.access(k)
-
-
 #: Table III column order: 5 general-purpose + 8 special-purpose
 ALL_LOSSLESS = (
     GP_CODECS
@@ -173,44 +55,43 @@ ALL_LOSSLESS = (
 )
 
 
-def build_adapter(name: str) -> Adapter:
-    if name in GP_CODECS:
-        return _BlockwiseAdapter(GPCodec(name), "bytes")
-    if name == "Gorilla":
-        return _BlockwiseAdapter(GorillaCodec(), "bits")
-    if name == "Chimp":
-        return _BlockwiseAdapter(ChimpCodec(), "bits")
-    if name == "Chimp128":
-        return _BlockwiseAdapter(Chimp128Codec(), "bits")
-    if name == "TSXor":
-        return _BlockwiseAdapter(TSXorCodec(), "bits")
-    if name == "DAC":
-        return _DACAdapter()
-    if name == "LeCo":
-        return _LeCoAdapter()
-    if name == "ALP":
-        return _ALPAdapter()
-    if name == "NeaTS":
-        return _NeaTSAdapter("neats")
-    if name == "LeaTS":
-        return _NeaTSAdapter("leats")
-    if name == "SNeaTS":
-        return _NeaTSAdapter("sneats")
-    raise ValueError(name)
+def _blockwise(codec):
+    return codec.domain, partial(BlockStore, codec)
+
+
+#: Table III name -> (input domain, values -> artifact), plus LeaTS and
+#: SNeaTS, the NeaTS variants of Fig. 2
+CODECS = {
+    **{name: _blockwise(GPCodec(name)) for name in GP_CODECS},
+    **{c.name: _blockwise(c)
+       for c in (GorillaCodec(), ChimpCodec(), Chimp128Codec(), TSXorCodec())},
+    "DAC": ("int", DACCodec().build),
+    "LeCo": ("int", LeCoCodec().compress),
+    "ALP": ("float", ALPCodec().compress),
+    **{name: ("int", partial(NeaTS.compress, variant=name.lower()))
+       for name in ("NeaTS", "LeaTS", "SNeaTS")},
+}
+
+
+def input_of(ts: TimeSeries, domain: str) -> np.ndarray:
+    """The values of ``ts`` in a codec's input domain."""
+    if domain == "bits":
+        return ts.floats.view(np.uint64)
+    return ts.floats if domain == "float" else ts.ints
 
 
 def measure(name: str, ts: TimeSeries, *, n_access: int = 2000, seed: int = 0, verify: bool = True) -> Measurement:
     """Compress, decompress, random-access one dataset with one codec."""
-    ad = build_adapter(name)
-    values = ad.input_of(ts)
+    domain, build = CODECS[name]
+    values = input_of(ts, domain)
     mb = ts.original_bytes / 1e6
 
     t0 = time.perf_counter()
-    art = ad.build(values)
+    art = build(values)
     t_comp = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    dec = ad.decompress(art)
+    dec = art.decompress()
     t_dec = time.perf_counter() - t0
     if verify and not np.array_equal(np.asarray(dec), values):
         raise AssertionError(f"{name} is not lossless on {ts.name}")
@@ -219,18 +100,18 @@ def measure(name: str, ts: TimeSeries, *, n_access: int = 2000, seed: int = 0, v
     idx = rng.integers(0, ts.n, n_access)
     t0 = time.perf_counter()
     for k in idx:
-        ad.access(art, int(k))
+        art.access(int(k))
     t_ra = time.perf_counter() - t0
     if verify:
         for k in idx[:20]:
-            got = ad.access(art, int(k))
+            got = art.access(int(k))
             if got != values[k]:
                 raise AssertionError(f"{name} random access wrong on {ts.name}@{k}")
 
     return Measurement(
         name=name,
         dataset=ts.name,
-        ratio_pct=100.0 * ad.size_bytes(art) / ts.original_bytes,
+        ratio_pct=100.0 * art.size_bytes / ts.original_bytes,
         compress_mb_s=mb / t_comp if t_comp > 0 else float("inf"),
         decompress_mb_s=mb / t_dec if t_dec > 0 else float("inf"),
         random_access_mb_s=(n_access * 8 / 1e6) / t_ra if t_ra > 0 else float("inf"),

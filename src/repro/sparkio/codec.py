@@ -29,7 +29,7 @@ from pyspark.sql.types import (
 
 from ..baselines.chimp import ChimpCodec
 from ..baselines.gorilla import GorillaCodec
-from ..baselines.gp import GPCodec
+from ..baselines.gp import GP_CODECS, GPCodec
 from ..core.neats import NeaTS
 
 __all__ = ["compress_to_blocks", "decompress_blocks", "random_access", "range_query", "BLOCK_SCHEMA"]
@@ -71,33 +71,46 @@ def _install_lazy_zip_invalidate() -> None:
 
 _install_lazy_zip_invalidate()
 
-_NEATS = ("neats", "leats", "sneats")
-_GP_NAMES = {"xz": "Xz", "zstd": "Zstd", "lz4": "Lz4", "snappy": "Snappy", "brotli": "Brotli"}
+#: The ten block codecs: the stream codec that writes a block's payload, or
+#: ``None`` for the NeaTS variants, whose payloads are NeaTS serialisations
+_CODECS = {
+    "neats": None, "leats": None, "sneats": None,
+    **{name.lower(): GPCodec(name) for name in GP_CODECS},
+    "gorilla": GorillaCodec(), "chimp": ChimpCodec(),
+}
+
+
+def _stream(codec: str):
+    try:
+        return _CODECS[codec]
+    except KeyError:
+        raise ValueError(f"unknown codec {codec!r}") from None
 
 
 def encode_block(values: np.ndarray, codec: str) -> bytes:
     values = np.asarray(values, dtype=np.int64)
-    if codec in _NEATS:
+    stream = _stream(codec)
+    if stream is None:
         return NeaTS.compress(values, variant=codec).to_bytes()
-    if codec in _GP_NAMES:
-        return GPCodec(_GP_NAMES[codec]).compress(values)
-    if codec == "gorilla":
-        return GorillaCodec().compress(values.view(np.uint64))
-    if codec == "chimp":
-        return ChimpCodec().compress(values.view(np.uint64))
-    raise ValueError(f"unknown codec {codec!r}")
+    return stream.compress(values.view(np.uint64) if stream.domain == "bits" else values)
 
 
 def decode_block(payload: bytes, codec: str, n: int) -> np.ndarray:
-    if codec in _NEATS:
-        return NeaTS.from_bytes(bytes(payload)).decompress()
-    if codec in _GP_NAMES:
-        return GPCodec(_GP_NAMES[codec]).decompress(bytes(payload), n_values=n)
-    if codec == "gorilla":
-        return GorillaCodec().decompress(bytes(payload)).view(np.int64)
-    if codec == "chimp":
-        return ChimpCodec().decompress(bytes(payload)).view(np.int64)
-    raise ValueError(f"unknown codec {codec!r}")
+    return _read(payload, codec, n, slice(0, n))
+
+
+def _read(payload: bytes, codec: str, n: int, part) -> np.ndarray:
+    """Positions ``part`` (a slice or an array of offsets) of one block of
+    ``n`` values.  NeaTS payloads decode only those, by ``NeaTS.scan``
+    (Section IV-C4) or Algorithm 3 (``NeaTS.access_many``); a stream
+    payload is decoded whole."""
+    stream = _stream(codec)
+    if stream is not None:
+        return stream.decompress(bytes(payload), n).view(np.int64)[part]
+    view = NeaTS.from_bytes(payload)
+    if isinstance(part, slice):
+        return view.scan(part.start, part.stop)
+    return view.access_many(part)
 
 
 def compress_to_blocks(
@@ -144,18 +157,10 @@ _DECODED_SCHEMA = StructType([
 
 
 def decompress_blocks(blocks: DataFrame) -> DataFrame:
-    """Inverse of :func:`compress_to_blocks`: back to ``(idx, y)`` rows."""
-
-    def _decode(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in batches:
-            if pdf.empty:
-                continue
-            vals = [decode_block(payload, codec, int(n))
-                    for payload, codec, n in zip(pdf["payload"], pdf["codec"], pdf["n"])]
-            idx = [np.arange(start, start + len(v)) for start, v in zip(pdf["start_idx"], vals)]
-            yield pd.DataFrame({"idx": np.concatenate(idx), "y": np.concatenate(vals)})
-
-    return blocks.mapInPandas(_decode, schema=_DECODED_SCHEMA)
+    """Inverse of :func:`compress_to_blocks`: back to ``(idx, y)`` rows.
+    The executor trim of :func:`range_query` over every int64 position, with
+    no filter on the blocks."""
+    return _trim(blocks, 0, 1 << 63)
 
 
 def random_access(blocks: DataFrame, keys: DataFrame, *, block_size: int, key_col: str = "idx") -> DataFrame:
@@ -177,13 +182,10 @@ def random_access(blocks: DataFrame, keys: DataFrame, *, block_size: int, key_co
             idxs, ys = [], []
             for rows in pdf.groupby("block_id", sort=False).indices.values():
                 first = rows[0]
-                payload, codec = pdf["payload"].iat[first], pdf["codec"].iat[first]
                 keys_in_block = all_keys[rows]
                 offsets = keys_in_block - int(pdf["start_idx"].iat[first])
-                if codec in _NEATS:
-                    ys.append(NeaTS.from_bytes(payload).access_many(offsets))
-                else:
-                    ys.append(decode_block(payload, codec, int(pdf["n"].iat[first]))[offsets])
+                ys.append(_read(pdf["payload"].iat[first], pdf["codec"].iat[first],
+                                int(pdf["n"].iat[first]), offsets))
                 idxs.append(keys_in_block)
             yield pd.DataFrame({"idx": np.concatenate(idxs), "y": np.concatenate(ys)})
 
@@ -209,8 +211,14 @@ def range_query(blocks: DataFrame, lo: int, hi: int) -> DataFrame:
     bound = 1 << max(hi - 1, 0).bit_length()
     if bound < 1 << 63:
         blocks = blocks.filter(F.col("start_idx") < F.lit(bound))
+    return _trim(blocks, lo, hi)
 
-    def _trim(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+
+def _trim(blocks: DataFrame, lo: int, hi: int) -> DataFrame:
+    """The ``(idx, y)`` rows of positions ``[lo, hi)``, selected and
+    decoded in the executor."""
+
+    def trim(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         for pdf in batches:
             idxs, ys = [], []
             for start, n, codec, payload in zip(pdf["start_idx"].tolist(), pdf["n"].tolist(),
@@ -218,12 +226,9 @@ def range_query(blocks: DataFrame, lo: int, hi: int) -> DataFrame:
                 a, b = max(lo - start, 0), min(hi - start, n)
                 if a >= b:
                     continue
-                if codec in _NEATS:
-                    ys.append(NeaTS.from_bytes(payload).scan(a, b))
-                else:
-                    ys.append(decode_block(payload, codec, n)[a:b])
+                ys.append(_read(payload, codec, n, slice(a, b)))
                 idxs.append(np.arange(start + a, start + b, dtype=np.int64))
             if idxs:
                 yield pd.DataFrame({"idx": np.concatenate(idxs), "y": np.concatenate(ys)})
 
-    return blocks.mapInPandas(_trim, schema=_DECODED_SCHEMA)
+    return blocks.mapInPandas(trim, schema=_DECODED_SCHEMA)

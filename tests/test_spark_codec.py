@@ -19,7 +19,7 @@ from repro.sparkio.codec import (
     compress_to_blocks, decode_block, decompress_blocks, encode_block,
     random_access, range_query,
 )
-from repro.sparkio.rowgroup_store import scan_range, write_store
+from repro.sparkio.rowgroup_store import point_lookup, scan_range, write_store
 from repro.tsdata import load
 
 N = 3000
@@ -170,7 +170,9 @@ class TestBlocksPipeline:
 
 class TestRangeTrim:
     """``range_query`` and ``scan_range`` select and trim ``[lo, hi)`` in the
-    executor, for NeaTS payloads (``NeaTS.scan``) and other codecs alike."""
+    executor, for NeaTS payloads (``NeaTS.scan``) and other codecs alike;
+    ``decompress_blocks`` is the same trim over every position, and
+    ``random_access``/``point_lookup`` read blocks through the same helper."""
 
     RANGES = [
         (511, 513),  # crosses a block edge
@@ -196,6 +198,21 @@ class TestRangeTrim:
         sql = f"SELECT idx, y FROM original WHERE idx >= {lo} AND idx < {hi}"
         assert_equivalent(range_query(blocks, lo, hi), sql, original=pdf)
         assert_equivalent(scan_range(spark, path, lo, hi), sql, original=pdf)
+
+    def test_decompress_via_oracle(self, coded, series):
+        blocks, _ = coded
+        pdf = pd.DataFrame({"idx": np.arange(N), "y": series.ints})
+        assert_equivalent(decompress_blocks(blocks), "SELECT idx, y FROM original", original=pdf)
+
+    def test_random_access_via_oracle(self, spark, coded, series):
+        blocks, path = coded
+        rng = np.random.default_rng(3)
+        keys = np.unique(np.concatenate([[0, BLOCK - 1, BLOCK, N - 1], rng.choice(N, 30, replace=False)]))
+        keys_df = spark.createDataFrame(pd.DataFrame({"idx": keys}))
+        pdf = pd.DataFrame({"idx": np.arange(N), "y": series.ints})
+        sql = f"SELECT idx, y FROM original WHERE idx IN ({','.join(map(str, keys))})"
+        assert_equivalent(random_access(blocks, keys_df, block_size=BLOCK), sql, original=pdf)
+        assert_equivalent(point_lookup(spark, path, keys_df, block_size=BLOCK), sql, original=pdf)
 
 
 class TestLazyZipInvalidate:

@@ -14,7 +14,7 @@ IDS = [c().name for c in CODECS]
 
 def _roundtrip(codec, vals):
     blob = codec.compress(vals)
-    out = codec.decompress(blob)
+    out = codec.decompress(blob, len(vals))
     assert np.array_equal(out, vals), codec.name
     return blob
 
@@ -35,7 +35,7 @@ class TestRoundtrips:
     @pytest.mark.parametrize("codec_cls", CODECS, ids=IDS)
     def test_empty(self, codec_cls):
         c = codec_cls()
-        assert len(c.decompress(c.compress(np.empty(0, dtype=np.uint64)))) == 0
+        assert len(c.decompress(c.compress(np.empty(0, dtype=np.uint64)), 0)) == 0
 
     @pytest.mark.parametrize("codec_cls", CODECS, ids=IDS)
     def test_single(self, codec_cls):
@@ -81,4 +81,4 @@ class TestCompressionBehaviour:
         blob = TSXorCodec().compress(vals)
         # after the first 50 literals, every value costs 1 byte
         assert len(blob) < 8 + 50 * 9 + 450 * 2
-        assert np.array_equal(TSXorCodec().decompress(blob), vals)
+        assert np.array_equal(TSXorCodec().decompress(blob, len(vals)), vals)
