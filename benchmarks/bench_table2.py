@@ -1,10 +1,12 @@
 """Table II benchmarks: lossy compressors (AA / PLA / NeaTS-L).
 
-One benchmark per (method, dataset-sample): compression at the dataset's
-protocol-selected eps, plus reconstruction. ``jobs/table2_lossy.py``
-regenerates the full paper-style table; these benchmarks track the speed
-relationships the paper reports in Section IV-B prose
-(PLA > AA > NeaTS-L in compression speed).
+One benchmark per (method, dataset-sample): compression at 0.5 % of the
+value range, plus reconstruction. ``jobs/table2_lossy.py`` regenerates the
+full paper-style table.  The paper reports PLA > AA > NeaTS-L in
+compression speed (Section IV-B prose).  Here PLA and NeaTS-L partition in
+the same C kernel and AA runs in Python, so the order is PLA ≈ NeaTS-L >
+AA: at 3072 points on IT/WD/BP, 1.2–3.9 ms for PLA and 1.8–3.7 ms for
+NeaTS-L against 11–16 ms for AA (best of 5, shared 4-core x86-64 host).
 """
 import numpy as np
 import pytest

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.bitstream import bits_for, read_packed, BitWriter, BitReader
+from ..core.bitstream import bits_for, pack_bits, read_packed
 
 __all__ = ["ALPCodec", "ALP"]
 
@@ -71,11 +71,8 @@ def _encode_vector(x: np.ndarray) -> _Vec:
     # non-exception slots hold their FOR value; exception slots hold 0
     slots = np.zeros(n, dtype=np.int64)
     slots[exact] = packed
-    w = BitWriter()
-    for s in slots:
-        w.write(int(s), width)
     v.e, v.f, v.base, v.width = e, f, lo_i, width
-    v.words, v.nbits = w.to_array(), w.nbits
+    v.words, v.nbits = pack_bits(slots, np.full(n, width)), n * width
     v.exc_pos = np.nonzero(~exact)[0].astype(np.int64)
     v.exc_val = x[~exact].copy()
     return v

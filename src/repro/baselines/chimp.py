@@ -8,10 +8,12 @@ Chimp refines Gorilla with 2-bit flags and a rounded leading-zero code:
 * ``10`` — leading count equal to the previous one: ``64 - lead`` bits;
 * ``11`` — new leading count: 3-bit leading code + ``64 - lead`` bits.
 
-Chimp128 (the paper's ``ChimpN`` with N=128) additionally picks, among the
-previous 128 values, the reference whose XOR has the most trailing zeros
-(we scan the window; the original uses a hash on the low bits) and stores
-its 7-bit offset in the ``00``/``01`` branches.
+ChimpN picks, among the previous N values, the reference whose XOR has
+the most trailing zeros (we scan the window; the original uses a hash on
+the low bits) and stores its offset in ``log2 N`` bits in the ``00`` and
+``01`` branches.  Chimp is ChimpN with N = 1: the reference is always the
+previous value and the offset takes no bits, so one encoder and one
+decoder serve both (``Chimp128`` has N = 128 and a 7-bit offset).
 """
 from __future__ import annotations
 
@@ -21,7 +23,6 @@ from ..core.bitstream import BitReader, BitWriter
 
 __all__ = ["ChimpCodec", "Chimp128Codec"]
 
-_MASK64 = (1 << 64) - 1
 _ROUND = [0, 8, 12, 16, 18, 20, 22, 24]  # leading-zero rounding table
 
 
@@ -42,92 +43,10 @@ def _lead_code(lead: int) -> int:
     return code
 
 
-class ChimpCodec:
-    name = "Chimp"
-    domain = "bits"
-
-    def compress(self, values: np.ndarray) -> bytes:
-        vals = np.asarray(values, dtype=np.uint64)
-        w = BitWriter()
-        if len(vals) == 0:
-            return b""
-        prev = int(vals[0])
-        w.write(prev, 64)
-        lead_prev = -1
-        for v in vals[1:]:
-            v = int(v)
-            xor = (v ^ prev) & _MASK64
-            if xor == 0:
-                w.write(0b00, 2)
-                lead_prev = 65  # sentinel: next '10' cannot match
-            else:
-                code = _lead_code(_clz64(xor))
-                lead = _ROUND[code]
-                trail = _ctz64(xor)
-                if trail > 6:
-                    w.write(0b10, 2)  # flag '01' in paper order; LSB-first here
-                    w.write(code, 3)
-                    centre = 64 - lead - trail
-                    w.write(centre, 6)
-                    w.write(xor >> trail, centre)
-                    lead_prev = 65
-                elif lead == lead_prev:
-                    w.write(0b01, 2)
-                    w.write(xor, 64 - lead)
-                else:
-                    w.write(0b11, 2)
-                    w.write(code, 3)
-                    w.write(xor, 64 - lead)
-                    lead_prev = lead
-            prev = v
-        return len(vals).to_bytes(8, "little") + w.nbits.to_bytes(8, "little") + w.to_array().tobytes()
-
-    def decompress(self, blob: bytes, n_values: int) -> np.ndarray:
-        if not blob:
-            return np.empty(0, dtype=np.uint64)
-        n = int.from_bytes(blob[:8], "little")
-        nbits = int.from_bytes(blob[8:16], "little")
-        r = BitReader(np.frombuffer(blob, dtype=np.uint64, offset=16), nbits)
-        out = np.empty(n, dtype=np.uint64)
-        pos = 0
-        prev = r.read(pos, 64)
-        pos += 64
-        out[0] = prev
-        lead_prev = -1
-        for i in range(1, n):
-            flag = r.read(pos, 2)
-            pos += 2
-            if flag == 0b00:
-                xor = 0
-                lead_prev = 65
-            elif flag == 0b10:  # centre case
-                code = r.read(pos, 3)
-                pos += 3
-                centre = r.read(pos, 6)
-                pos += 6
-                lead = _ROUND[code]
-                bits = r.read(pos, centre)
-                pos += centre
-                xor = bits << (64 - lead - centre)
-                lead_prev = 65
-            elif flag == 0b01:  # same leading
-                xor = r.read(pos, 64 - lead_prev)
-                pos += 64 - lead_prev
-            else:  # new leading
-                code = r.read(pos, 3)
-                pos += 3
-                lead = _ROUND[code]
-                xor = r.read(pos, 64 - lead)
-                pos += 64 - lead
-                lead_prev = lead
-            prev = (prev ^ xor) & _MASK64
-            out[i] = prev
-        return out
-
-
 class Chimp128Codec:
     name = "Chimp128"
     domain = "bits"
+    #: N, the number of previous values searched for the reference
     window = 128
 
     def compress(self, values: np.ndarray) -> bytes:
@@ -136,6 +55,7 @@ class Chimp128Codec:
         n = len(vals)
         if n == 0:
             return b""
+        idx_bits = (self.window - 1).bit_length()
         ints = [int(v) for v in vals]
         w.write(ints[0], 64)
         lead_prev = -1
@@ -152,11 +72,11 @@ class Chimp128Codec:
             idx = i - 1 - best_j  # 0 == immediately previous
             if best_xor == 0:
                 w.write(0b00, 2)
-                w.write(idx, 7)
-                lead_prev = 65
+                w.write(idx, idx_bits)
+                lead_prev = 65  # sentinel: next '10' cannot match
             elif best_tz > 6:
-                w.write(0b10, 2)
-                w.write(idx, 7)
+                w.write(0b10, 2)  # flag '01' in paper order; LSB-first here
+                w.write(idx, idx_bits)
                 code = _lead_code(_clz64(best_xor))
                 lead = _ROUND[code]
                 w.write(code, 3)
@@ -165,7 +85,7 @@ class Chimp128Codec:
                 w.write(best_xor >> best_tz, centre)
                 lead_prev = 65
             else:
-                # fall back to the Chimp path against the previous value
+                # the Chimp path against the previous value
                 xor = v ^ ints[i - 1]
                 code = _lead_code(_clz64(xor))
                 lead = _ROUND[code]
@@ -185,6 +105,7 @@ class Chimp128Codec:
         n = int.from_bytes(blob[:8], "little")
         nbits = int.from_bytes(blob[8:16], "little")
         r = BitReader(np.frombuffer(blob, dtype=np.uint64, offset=16), nbits)
+        idx_bits = (self.window - 1).bit_length()
         out = [0] * n
         pos = 0
         out[0] = r.read(pos, 64)
@@ -194,13 +115,13 @@ class Chimp128Codec:
             flag = r.read(pos, 2)
             pos += 2
             if flag == 0b00:
-                idx = r.read(pos, 7)
-                pos += 7
+                idx = r.read(pos, idx_bits)
+                pos += idx_bits
                 out[i] = out[i - 1 - idx]
                 lead_prev = 65
-            elif flag == 0b10:
-                idx = r.read(pos, 7)
-                pos += 7
+            elif flag == 0b10:  # centre case
+                idx = r.read(pos, idx_bits)
+                pos += idx_bits
                 code = r.read(pos, 3)
                 pos += 3
                 centre = r.read(pos, 6)
@@ -211,11 +132,11 @@ class Chimp128Codec:
                 trail = 64 - lead - centre
                 out[i] = out[i - 1 - idx] ^ (bits << trail)
                 lead_prev = 65
-            elif flag == 0b01:
+            elif flag == 0b01:  # same leading
                 xor = r.read(pos, 64 - lead_prev)
                 pos += 64 - lead_prev
                 out[i] = out[i - 1] ^ xor
-            else:
+            else:  # new leading
                 code = r.read(pos, 3)
                 pos += 3
                 lead = _ROUND[code]
@@ -224,3 +145,8 @@ class Chimp128Codec:
                 out[i] = out[i - 1] ^ xor
                 lead_prev = lead
         return np.asarray(out, dtype=np.uint64)
+
+
+class ChimpCodec(Chimp128Codec):
+    name = "Chimp"
+    window = 1

@@ -12,19 +12,29 @@ size (the original optimises level widths with DP; a global width search
 captures the same knob).
 
 Performance note: the stored structure is the packed chunk arrays and the
-continuation bitvectors (``size_bits`` counts exactly those plus the rank
-directories); the decode paths use a
-precomputed cumulative-rank array per level — the numpy stand-in for the
-O(1) C rank that the original relies on.
+continuation bitvectors with their rank directories, one 64-bit count per
+512 bits, which ``size_bits`` counts; only the chunk arrays are packed
+(``pack_bits``).  The decode paths use a precomputed cumulative-rank
+array per level — the numpy stand-in for the O(1) C rank that the
+original relies on.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from ..core.bitstream import PackedArray, pad_words, read_packed
-from ..core.bitvector import RankBitvector
+from ..core.bitstream import pack_bits, pad_words, read_packed
 
 __all__ = ["DACCodec", "DAC"]
+
+#: the chunk widths that ``DACCodec`` tries
+_WIDTHS = (2, 4, 8, 16)
+
+
+def _level_bits(k: int, width: int) -> int:
+    """Bits of one level of ``k`` chunks: the chunks, the continuation
+    bitvector, and its rank directory (one 64-bit count per 512 bits of
+    the bitvector's words plus a spare word)."""
+    return k * width + k + 64 * (((k + 63) // 64 + 8) // 8)
 
 
 def _zigzag(v: np.ndarray) -> np.ndarray:
@@ -44,22 +54,20 @@ class DAC:
         u = _zigzag(np.asarray(values, dtype=np.int64))
         self.n = len(u)
         self.width = width
-        self.levels: list[PackedArray] = []
-        self.conts: list[RankBitvector] = []
+        self.size_bits = 0
+        self._level_words: list[np.ndarray] = []  # packed chunks, padded
         self._ranks: list[np.ndarray] = []  # exclusive rank1 per level position
-        self._conts_bool: list[np.ndarray] = []  # decode-side cache
+        self._conts_bool: list[np.ndarray] = []  # continuation bits
         cur = u
         mask = np.uint64((1 << width) - 1)
         while len(cur):
-            chunk = cur & mask
             rest = cur >> np.uint64(width)
             has_more = rest != 0
-            self.levels.append(PackedArray(chunk.tolist(), width=width))
-            self.conts.append(RankBitvector(np.nonzero(has_more)[0], len(cur)))
+            self._level_words.append(pad_words(pack_bits(cur & mask, np.full(len(cur), width))))
+            self.size_bits += _level_bits(len(cur), width)
             self._ranks.append(np.cumsum(has_more) - has_more)  # exclusive
             self._conts_bool.append(has_more)
             cur = rest[has_more]
-        self._level_words = [pad_words(p.words) for p in self.levels]
         # pure-Python mirrors for the scalar access hot path (numpy scalar
         # indexing costs ~100x a C rank; this is the decode-side cache)
         self._words_int = [[int(w) for w in lw] for lw in self._level_words]
@@ -71,7 +79,7 @@ class DAC:
         shift = 0
         width = self.width
         mask = (1 << width) - 1
-        for lvl in range(len(self.levels)):
+        for lvl in range(len(self._words_int)):
             pos = i * width
             w, sh = pos >> 6, pos & 63
             lw = self._words_int[lvl]
@@ -92,7 +100,7 @@ class DAC:
         out = np.zeros(len(idx), dtype=np.uint64)
         live = np.arange(len(idx), dtype=np.int64)
         shift = np.uint64(0)
-        for lvl in range(len(self.levels)):
+        for lvl in range(len(self._level_words)):
             if not len(idx):
                 break
             chunks = read_packed(self._level_words[lvl], self.width, idx, padded=True)
@@ -107,10 +115,6 @@ class DAC:
         return self.scan(0, self.n)
 
     @property
-    def size_bits(self) -> int:
-        return sum(p.size_bits for p in self.levels) + sum(b.size_bits for b in self.conts)
-
-    @property
     def size_bytes(self) -> int:
         """Serialised size: the levels and continuation bitvectors plus a
         16-byte header."""
@@ -120,12 +124,9 @@ class DAC:
 class DACCodec:
     name = "DAC"
 
-    def __init__(self, widths=(2, 4, 8, 16)):
-        self.widths = widths
-
     def build(self, values: np.ndarray) -> DAC:
         best = None
-        for w in self.widths:
+        for w in _WIDTHS:
             d = DAC(values, w)
             if best is None or d.size_bits < best.size_bits:
                 best = d

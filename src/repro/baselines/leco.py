@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.bitstream import BitReader, BitWriter, read_packed, signed_width
+from ..core.bitstream import BitReader, pack_bits, read_packed, signed_width
 
 __all__ = ["LeCoCodec", "LeCo"]
 
@@ -79,18 +79,17 @@ class LeCo:
             i += 1
         self.frags = out
         self._starts = np.asarray([f.start for f in self.frags], dtype=np.int64)
-        # pack residuals
-        wtr = BitWriter()
-        self._offsets = [0]
-        for f in self.frags:
-            xs = np.arange(f.end - f.start, dtype=np.float64)
-            resid = ys[f.start:f.end] - np.floor(f.slope * xs + f.intercept).astype(np.int64)
-            if f.width:
-                half = 1 << (f.width - 1)
-                for r in resid:
-                    wtr.write(int(r) + half, f.width)
-            self._offsets.append(self._offsets[-1] + f.width * (f.end - f.start))
-        self._corr = BitReader(wtr.to_array(), wtr.nbits)
+        # pack the residuals, each biased by half its fragment's range
+        lengths = [len_(f) for f in self.frags]
+        per_point = lambda attr: np.repeat([getattr(f, attr) for f in self.frags], lengths)  # noqa: E731
+        xs = np.arange(self.n) - np.repeat(self._starts, lengths)
+        resid = ys - np.floor(per_point("slope") * xs + per_point("intercept")).astype(np.int64)
+        widths = per_point("width").astype(np.int64)
+        half = np.where(widths > 0, np.left_shift(1, np.maximum(widths - 1, 0)), 0)
+        self._offsets = [0, *np.cumsum(np.multiply(lengths, [f.width for f in self.frags])).tolist()]
+        # the scalar ``access`` reads one field through BitReader: ~0.4 us
+        # against ~20 us for a one-element ``read_packed``
+        self._corr = BitReader(pack_bits(resid + half, widths), self._offsets[-1])
 
     @property
     def size_bytes(self) -> int:

@@ -1,20 +1,23 @@
-"""Bit-level substrate: a bit writer/reader and fixed-width packed arrays.
+"""Bit-level substrate: one vectorised packer and reader of bit fields,
+and a bit writer/reader for variable-width streams.
 
-The bit-packed baselines (Gorilla, Chimp, LeCo, ALP, DAC) write and read
-through this module.  NeaTS packs its payload in C (``neats_encode`` and
-the decoder in ``neats.c``) and takes only ``bits_for_signed`` from here,
-for Algorithm 1's correction widths; the Python NeaTS serialiser in
-``tests/encoder_reference.py``, the C writer's reference, still writes
-with it.  Words are stored little-endian-in-bits inside a ``numpy``
-``uint64`` buffer: bit ``i`` of the stream is bit ``i % 64`` of word
-``i // 64``.
+``pack_bits`` writes any sequence of fields of widths 0..63 in one pass;
+``read_packed`` reads fixed-width fields back at any indexes.  The
+fixed-width baselines (DAC levels, LeCo residuals, ALP digits) use only
+these two.  ``BitWriter``/``BitReader`` serve the XOR streams (Gorilla,
+Chimp, Chimp128), whose field widths depend on the values already
+decoded.  NeaTS packs its payload in C (``neats_encode`` and the decoder
+in ``neats.c``) and takes only ``bits_for_signed`` from here, for
+Algorithm 1's correction widths.  Words are stored little-endian-in-bits
+inside a ``numpy`` ``uint64`` buffer: bit ``i`` of the stream is bit
+``i % 64`` of word ``i // 64``.
 """
 from __future__ import annotations
 
 import numpy as np
 
 __all__ = [
-    "BitWriter", "BitReader", "PackedArray", "bits_for", "bits_for_signed",
+    "BitWriter", "BitReader", "bits_for", "bits_for_signed",
     "read_packed", "signed_width", "pad_words", "pack_bits",
 ]
 
@@ -60,6 +63,8 @@ def pack_bits(values: np.ndarray, widths: np.ndarray) -> np.ndarray:
     ``widths[i]`` bits (0..63), one after another."""
     vals = np.asarray(values).astype(np.uint64)
     widths = np.asarray(widths, dtype=np.int64)
+    if widths.size and not 0 <= widths.min() <= widths.max() <= 63:
+        raise ValueError("pack_bits supports widths 0..63")
     pos = np.cumsum(widths) - widths
     nwords = max(1, (int(widths.sum()) + 63) // 64)
     # two spare words: a zero-width field at the end of a stream that fills
@@ -167,43 +172,3 @@ class BitReader:
     @property
     def words(self) -> np.ndarray:
         return self._words
-
-
-class PackedArray:
-    """Fixed-width unsigned integer array with O(1) access.
-
-    Cell width is ``bits_for(max(values))`` so "cells whose bit size is just
-    enough to contain the largest value" (paper §III-C) holds.
-    """
-
-    def __init__(self, values, width: int | None = None) -> None:
-        vals = np.asarray(values, dtype=np.int64)
-        if (vals < 0).any():
-            raise ValueError("PackedArray stores unsigned values; map signed first")
-        self._n = len(vals)
-        self._width = width if width is not None else bits_for(int(vals.max(initial=0)))
-        self._reader = BitReader(pack_bits(vals, np.full(self._n, self._width)), self._n * self._width)
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self._n:
-            raise IndexError(i)
-        return self._reader.read(i * self._width, self._width)
-
-    def to_list(self) -> list[int]:
-        return [self[i] for i in range(self._n)]
-
-    @property
-    def width(self) -> int:
-        return self._width
-
-    @property
-    def size_bits(self) -> int:
-        """Payload size (cells only; metadata accounted by the container)."""
-        return self._n * self._width
-
-    @property
-    def words(self) -> np.ndarray:
-        return self._reader.words

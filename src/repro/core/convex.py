@@ -19,6 +19,12 @@ A line with slope ``m`` stabbing all segments exists iff
 
 and the binding pairs lie on the two convex hulls, where the supporting
 points only ever move forward — hence amortised O(1) updates.
+
+The program does not call this module: Algorithm 1 and PLA run through
+the C kernel (``alg1.c``), which implements the same test.  It drives
+``models.FragmentFitter``, the tests' reference for that kernel, and
+``perfbench --trace 1`` wraps its methods; it moves to ``tests/`` once
+the trace no longer names it.
 """
 from __future__ import annotations
 

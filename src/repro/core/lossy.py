@@ -7,14 +7,11 @@ piecewise nonlinear eps-approximation.  The output guarantees
 """
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 
 from . import native
 from .models import DEFAULT_FAMILIES, family_by_kind
-from .partition import optimal_partition, positivity_shift
-from .piecewise import Piece, frag_rows
+from .partition import Piece, frag_rows, optimal_partition, positivity_shift
 
 __all__ = ["NeaTSLossy", "lossy_size_bytes", "mape"]
 

@@ -6,9 +6,13 @@ Each family knows how to rewrite the error constraints
 the fitted ``(m, b)`` back to its own parameters.  It does not evaluate
 itself: ``eval_f`` in ``neats.c`` holds the one copy of the Table I
 formulas, which NeaTS, NeaTS-L and PLA all reach through
-:func:`repro.core.native.evaluate`.  The Python fitter here is
-PLA's fitter and the tests' reference for the C kernel (``alg1.c``);
-``perfbench --trace 1`` times it.
+:func:`repro.core.native.evaluate`.  The program reads the families'
+metadata (``kind``, ``n_params``, ``requires_positive``) and
+``params_from_mb``; the C kernel (``alg1.c``) fits and partitions for
+NeaTS, NeaTS-L and PLA alike.  Nothing in the program calls the Python
+fitter (``constraint``, ``FragmentFitter``, ``fit_fragment``): it is the
+tests' reference for that kernel, and ``perfbench --trace 1`` wraps it, so
+it stays here until the trace no longer names it.
 
 Conventions
 -----------

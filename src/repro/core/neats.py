@@ -44,8 +44,7 @@ import numpy as np
 
 from . import native
 from .models import DEFAULT_FAMILIES, Linear
-from .partition import default_epsilons, optimal_partition, positivity_shift, select_pairs
-from .piecewise import frag_rows
+from .partition import default_epsilons, frag_rows, optimal_partition, positivity_shift, select_pairs
 
 __all__ = ["NeaTS", "CorruptPayloadError"]
 
@@ -110,16 +109,7 @@ class NeaTS:
 
     # ------------------------------------------------------------------ build
     @classmethod
-    def compress(
-        cls,
-        values,
-        *,
-        families=None,
-        epsilons=None,
-        variant: str = "neats",
-        eps_step_bits: int = 1,
-        eps_max_bits: int | None = None,
-    ) -> "NeaTS":
+    def compress(cls, values, *, families=None, epsilons=None, variant: str = "neats") -> "NeaTS":
         ys = np.asarray(values, dtype=np.int64)
         if len(ys) == 0:
             raise ValueError("empty series")
@@ -127,7 +117,7 @@ class NeaTS:
         if variant == "leats":
             families = [Linear()]
         if epsilons is None:
-            epsilons = default_epsilons(ys, step_bits=eps_step_bits, max_bits=eps_max_bits)
+            epsilons = default_epsilons(ys)
         shift = positivity_shift(ys, families, max(epsilons))
         ys_shifted = ys + shift
 

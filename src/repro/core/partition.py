@@ -21,23 +21,27 @@ The sweep runs in the C kernel of :mod:`repro.core.native` (``alg1.c``);
 its Python reference lives beside the tests.  Inputs outside the kernel's
 domain raise :class:`OutOfDomainError` up front.
 
+A partition is a list of :class:`Piece`; :func:`frag_rows` turns it into
+the rows that the C evaluator and the NeaTS payload writer read.  Lossy
+mode with one pair is NeaTS-L's partition, and with (Linear, eps) PLA's.
+
 Also provides the paper's variants: LeaTS (linear-only family set) and
 SNeaTS (model selection of the top-5 pairs on a 10 % prefix sample).
 """
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import native
 from .bitstream import bits_for_signed
-from .models import DEFAULT_FAMILIES, FAMILIES, Family, Linear
-from .piecewise import Piece
+from .models import FAMILIES, Family, Linear
 
 __all__ = [
-    "optimal_partition", "default_epsilons", "positivity_shift", "select_pairs",
-    "FRAGMENT_OVERHEAD_BITS", "OutOfDomainError",
+    "Piece", "frag_rows", "optimal_partition", "default_epsilons", "positivity_shift",
+    "select_pairs", "FRAGMENT_OVERHEAD_BITS", "OutOfDomainError",
 ]
 
 #: Algorithm 1's per-fragment cost (kappa) besides the raw parameters, for
@@ -47,22 +51,55 @@ __all__ = [
 #: of the chosen paths are 96 % of the serialised ones.
 FRAGMENT_OVERHEAD_BITS = 80
 
+#: SNeaTS model selection (Section IV-C1): Algorithm 1 runs on a prefix of
+#: ``_SAMPLE_FRAC`` of the series, at least ``_MIN_SAMPLE`` points, and keeps
+#: the ``_TOP`` most-used (family, eps) pairs
+_SAMPLE_FRAC, _MIN_SAMPLE, _TOP = 0.10, 512, 5
+
 #: the kernel's family codes: positions in ``FAMILIES``
 _KERNEL_KIND = {type(f): code for code, f in enumerate(FAMILIES)}
+_KIND_ID = {f.kind: code for code, f in enumerate(FAMILIES)}
 
 
-def default_epsilons(ys: np.ndarray, *, step_bits: int = 2, max_bits: int | None = None) -> list[int]:
-    """The paper's pessimistic E = {0, 2^1, ..., 2^ceil(log Delta)} thinned.
+@dataclass(frozen=True)
+class Piece:
+    """A fragment [start, end) of the series with its fitted function.
 
-    We keep ``eps = 0`` and powers of two with a stride of ``step_bits``
-    (the full set is O(log Delta) and the thinning only trades a little
-    ratio for compression speed; cf. Section III-B complexity analysis).
+    ``delta`` shifts the evaluation domain: the fragment's j-th value
+    (j = 1..len) is approximated by the family's f at local x = j + delta.
+    Suffix edges of Algorithm 1 reuse a function fitted at an earlier
+    origin and set ``delta > 0``.
     """
+    start: int
+    end: int
+    kind: str
+    eps: int
+    params: tuple
+    delta: int = 0
+
+    def __len__(self) -> int:
+        return self.end - self.start
+
+
+def frag_rows(pieces: list[Piece], n: int) -> np.ndarray:
+    """The ``native.FRAG`` rows of ``pieces``, which tile ``[0, n)`` in
+    order, plus the sentinel row ``start = n``: the input of the C
+    evaluator, ``native.evaluate``."""
+    m = len(pieces)
+    frags = np.zeros(m + 1, dtype=native.FRAG)
+    frags["start"] = [p.start for p in pieces] + [n]
+    frags["delta"][:m] = [p.delta for p in pieces]
+    frags["kind"][:m] = [_KIND_ID[p.kind] for p in pieces]
+    for row, p in zip(frags["p"], pieces):
+        row[:len(p.params)] = p.params
+    return frags
+
+
+def default_epsilons(ys: np.ndarray) -> list[int]:
+    """The paper's pessimistic E = {0} ∪ {2^b : 1 <= b < bitlen(Delta)},
+    Delta the value range plus one (Section III-B)."""
     delta = int(ys.max()) - int(ys.min()) + 1
-    top = max(1, delta.bit_length())
-    if max_bits is not None:
-        top = min(top, max_bits)
-    return [0] + [1 << b for b in range(1, top, step_bits)]
+    return [0] + [1 << b for b in range(1, delta.bit_length())]
 
 
 class OutOfDomainError(ValueError):
@@ -89,11 +126,7 @@ def positivity_shift(ys: np.ndarray, families: list[Family], eps: int) -> int:
 
 
 def optimal_partition(
-    ys: np.ndarray,
-    families: list[Family] | None = None,
-    epsilons: list[int] | None = None,
-    *,
-    lossy: bool = False,
+    ys: np.ndarray, families: list[Family], epsilons: list[int], *, lossy: bool = False,
 ) -> list[Piece]:
     """Algorithm 1. Returns the minimum-bit partition of ``ys``.
 
@@ -101,9 +134,6 @@ def optimal_partition(
     the set that needs it (the NeaTS encoder applies the global shift).
     In lossy mode pass a single-element ``epsilons``.
     """
-    families = DEFAULT_FAMILIES if families is None else families
-    if epsilons is None:
-        epsilons = [0] if lossy else default_epsilons(np.asarray(ys))
     ys = np.asarray(ys)
     if len(ys) == 0:
         return []
@@ -130,21 +160,15 @@ def optimal_partition(
 
 
 def select_pairs(
-    ys: np.ndarray,
-    families: list[Family],
-    epsilons: list[int],
-    *,
-    sample_frac: float = 0.10,
-    top: int = 5,
-    min_sample: int = 512,
+    ys: np.ndarray, families: list[Family], epsilons: list[int],
 ) -> tuple[list[Family], list[int], list[tuple[str, int]]]:
     """SNeaTS model selection: run Algorithm 1 on a prefix sample, keep the
-    top-``top`` most-used (family, eps) pairs (Section IV-C1)."""
+    most-used (family, eps) pairs (Section IV-C1)."""
     ys = np.asarray(ys)
-    m = max(min(min_sample, len(ys)), int(len(ys) * sample_frac))
+    m = max(min(_MIN_SAMPLE, len(ys)), int(len(ys) * _SAMPLE_FRAC))
     sample_pieces = optimal_partition(ys[:m], families, epsilons)
     counts = Counter((p.kind, p.eps) for p in sample_pieces)
-    keep = [pair for pair, _ in counts.most_common(top)]
+    keep = [pair for pair, _ in counts.most_common(_TOP)]
     kinds = {k for k, _ in keep}
     eps = {e for _, e in keep}
     # input order, not set order: the pair order breaks Algorithm 1's ties,

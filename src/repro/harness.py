@@ -80,8 +80,9 @@ def input_of(ts: TimeSeries, domain: str) -> np.ndarray:
     return ts.floats if domain == "float" else ts.ints
 
 
-def measure(name: str, ts: TimeSeries, *, n_access: int = 2000, seed: int = 0, verify: bool = True) -> Measurement:
-    """Compress, decompress, random-access one dataset with one codec."""
+def measure(name: str, ts: TimeSeries, *, n_access: int = 2000) -> Measurement:
+    """Compress, decompress, random-access one dataset with one codec, and
+    check both answers against the input."""
     domain, build = CODECS[name]
     values = input_of(ts, domain)
     mb = ts.original_bytes / 1e6
@@ -93,20 +94,18 @@ def measure(name: str, ts: TimeSeries, *, n_access: int = 2000, seed: int = 0, v
     t0 = time.perf_counter()
     dec = art.decompress()
     t_dec = time.perf_counter() - t0
-    if verify and not np.array_equal(np.asarray(dec), values):
+    if not np.array_equal(np.asarray(dec), values):
         raise AssertionError(f"{name} is not lossless on {ts.name}")
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     idx = rng.integers(0, ts.n, n_access)
     t0 = time.perf_counter()
     for k in idx:
         art.access(int(k))
     t_ra = time.perf_counter() - t0
-    if verify:
-        for k in idx[:20]:
-            got = art.access(int(k))
-            if got != values[k]:
-                raise AssertionError(f"{name} random access wrong on {ts.name}@{k}")
+    for k in idx[:20]:
+        if art.access(int(k)) != values[k]:
+            raise AssertionError(f"{name} random access wrong on {ts.name}@{k}")
 
     return Measurement(
         name=name,

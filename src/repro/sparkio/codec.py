@@ -118,8 +118,6 @@ def compress_to_blocks(
     *,
     codec: str = "neats",
     block_size: int = 4096,
-    idx_col: str = "idx",
-    value_col: str = "y",
 ) -> DataFrame:
     """Compress ``(idx, y)`` rows into per-block binary payloads.
 
@@ -127,10 +125,11 @@ def compress_to_blocks(
     runs the NeaTS encoder on its sorted values — the per-partition custom
     encoder pattern.
     """
+    idx = F.col("idx").cast("long")
     src = df.select(
-        F.col(idx_col).cast("long").alias("idx"),
-        F.col(value_col).cast("long").alias("y"),
-        (F.col(idx_col).cast("long") / F.lit(block_size)).cast("long").alias("block_id"),
+        idx.alias("idx"),
+        F.col("y").cast("long").alias("y"),
+        (idx / F.lit(block_size)).cast("long").alias("block_id"),
     )
 
     def _encode(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -163,15 +162,13 @@ def decompress_blocks(blocks: DataFrame) -> DataFrame:
     return _trim(blocks, 0, 1 << 63)
 
 
-def random_access(blocks: DataFrame, keys: DataFrame, *, block_size: int, key_col: str = "idx") -> DataFrame:
+def random_access(blocks: DataFrame, keys: DataFrame, *, block_size: int) -> DataFrame:
     """Batch random access: join the queried indexes to their blocks (a
     shuffle join — broadcast stays disabled per the session config), then
     per block one payload parse and one batched Algorithm 3 call
     (``NeaTS.access_many``) instead of full block decoding."""
-    k = keys.select(
-        F.col(key_col).cast("long").alias("idx"),
-        (F.col(key_col).cast("long") / F.lit(block_size)).cast("long").alias("block_id"),
-    )
+    idx = F.col("idx").cast("long")
+    k = keys.select(idx.alias("idx"), (idx / F.lit(block_size)).cast("long").alias("block_id"))
     joined = k.join(blocks, on="block_id", how="inner")
 
     def _pick(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:

@@ -13,9 +13,9 @@ import struct
 import numpy as np
 
 from repro.core import native
-from repro.core.bitstream import PackedArray, pack_bits, signed_width
+from repro.core.bitstream import bits_for, pack_bits, signed_width
 from repro.core.models import FAMILIES
-from repro.core.piecewise import frag_rows
+from repro.core.partition import frag_rows
 
 __all__ = ["EliasFano", "payload"]
 
@@ -64,8 +64,10 @@ class EliasFano:
 
 
 def _packed(values) -> bytes:
-    pa = PackedArray(values)
-    return struct.pack("<iiq", len(pa), pa.width, len(pa.words)) + pa.words.tobytes()
+    """A fixed-width array in cells of the largest value's width."""
+    width = bits_for(int(np.max(values, initial=0)))
+    words = pack_bits(values, np.full(len(values), width))
+    return struct.pack("<iiq", len(values), width, len(words)) + words.tobytes()
 
 
 def payload(ys: np.ndarray, shift: int, pieces) -> bytes:

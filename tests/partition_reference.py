@@ -1,9 +1,13 @@
-"""Algorithm 1 in Python: the reference for the C kernel (``alg1.c``).
+"""Partitioners in Python: the references for the C kernel (``alg1.c``).
 
-The same sweep as ``repro.core.partition.optimal_partition``, over
-``FragmentFitter`` (Theorem 1 via ``SegmentStabber``), with the same edge
-weights, the same pair order and strict ``<`` relaxations, so it returns
-the same partition bit for bit.  Used only in tests.
+``optimal_partition_reference`` is the same sweep as
+``repro.core.partition.optimal_partition``, over ``FragmentFitter``
+(Theorem 1 via ``SegmentStabber``), with the same edge weights, the same
+pair order and strict ``<`` relaxations, so it returns the same partition
+bit for bit.  ``piecewise_partition`` is Corollary 1, the greedy
+longest-fragment partition of one ``(family, eps)`` pair (O'Rourke's
+optimal PLA for Linear), which PLA's kernel partition must equal.  Used
+only in tests.
 """
 from __future__ import annotations
 
@@ -11,10 +15,9 @@ import numpy as np
 
 from repro.core.bitstream import bits_for_signed
 from repro.core.models import Family, FragmentFitter
-from repro.core.partition import FRAGMENT_OVERHEAD_BITS
-from repro.core.piecewise import Piece
+from repro.core.partition import FRAGMENT_OVERHEAD_BITS, Piece
 
-__all__ = ["optimal_partition_reference"]
+__all__ = ["optimal_partition_reference", "piecewise_partition"]
 
 _INF = float("inf")
 
@@ -108,4 +111,31 @@ def optimal_partition_reference(
         pieces.append(Piece(i, k, p.family.kind, p.eps, params, delta=i - fit_start))
         k = i
     pieces.reverse()
+    return pieces
+
+
+def piecewise_partition(ys: np.ndarray, family: Family, eps: int) -> list[Piece]:
+    """Greedy minimum-piece partition of ``ys`` for one (family, eps) pair:
+    repeatedly applying Theorem 1 from left to right (Corollary 1)."""
+    n = len(ys)
+    pieces: list[Piece] = []
+    i = 0
+    while i < n:
+        f = FragmentFitter(family, eps)
+        j = i
+        while j < n:
+            try:
+                ok = f.try_extend(int(ys[j]))
+            except ValueError:
+                ok = False
+            if not ok:
+                break
+            j += 1
+        if j == i:
+            raise ValueError(
+                f"{family.kind} cannot approximate the single value {ys[i]} "
+                f"with eps={eps}; shift the series to satisfy positivity first"
+            )
+        pieces.append(Piece(i, j, family.kind, eps, f.params()))
+        i = j
     return pieces

@@ -1,10 +1,10 @@
-"""Python readers of the succinct structures that ``repro.core`` writes.
+"""Python readers of succinct structures, used only by the tests.
 
-The program only builds these structures: NeaTS payloads are read by the C
-view, and DAC keeps its own rank arrays.  The tests read them here, as the
-reference for that C reader (``EliasFanoReader`` parses the bytes of
-``EliasFano.serialize``, as ``neats.c`` does) and for the wavelet-tree
-addressing of ``tests/wavelet_reference.py`` (``RankBitvector``).
+``EliasFanoReader`` parses the bytes of ``EliasFano.serialize``, as the C
+view in ``neats.c`` does, and is the reference for that reader.
+``RankBitvector`` (a plain bitvector with a one-level rank directory, the
+layout whose size DAC counts for its continuation bits) addresses the
+levels of ``tests/wavelet_reference.py``.
 """
 from __future__ import annotations
 
@@ -12,10 +12,11 @@ import struct
 
 import numpy as np
 
-from repro.core import bitvector
 from repro.core.bitstream import BitReader
 
 __all__ = ["EliasFanoReader", "RankBitvector"]
+
+_BLOCK = 512  # bits per superblock in the rank directory
 
 
 class EliasFanoReader:
@@ -56,8 +57,27 @@ class EliasFanoReader:
         return self.rank(v) - 1
 
 
-class RankBitvector(bitvector.RankBitvector):
-    """``repro.core.bitvector.RankBitvector`` with its queries."""
+class RankBitvector:
+    def __init__(self, positions, length: int) -> None:
+        """Bitvector of ``length`` bits with ones at ``positions``."""
+        self._len = int(length)
+        words = np.zeros((self._len + 63) // 64 + 1, dtype=np.uint64)
+        pos = np.asarray(sorted(positions), dtype=np.int64)
+        if len(pos) and (pos[0] < 0 or pos[-1] >= length):
+            raise ValueError("position out of range")
+        np.bitwise_or.at(words, pos >> 6, np.left_shift(np.uint64(1), (pos & 63).astype(np.uint64)))
+        self._words = words
+        # superblock ranks: number of ones before each block of _BLOCK bits
+        per_block = np.add.reduceat(np.unpackbits(words.view(np.uint8)).reshape(len(words), 64).sum(axis=1),
+                                    np.arange(0, len(words), _BLOCK // 64))
+        self._dir = np.cumsum(per_block, dtype=np.int64) - per_block
+
+    def __len__(self) -> int:
+        return self._len
+
+    @property
+    def size_bits(self) -> int:
+        return self._len + len(self._dir) * 64
 
     def get(self, i: int) -> bool:
         if not 0 <= i < self._len:
@@ -69,9 +89,9 @@ class RankBitvector(bitvector.RankBitvector):
         words of one block."""
         if not 0 <= i <= self._len:
             raise IndexError(i)
-        blk = i // bitvector._BLOCK
+        blk = i // _BLOCK
         r = int(self._dir[blk])
-        for w in range(blk * (bitvector._BLOCK // 64), i >> 6):
+        for w in range(blk * (_BLOCK // 64), i >> 6):
             r += int(self._words[w]).bit_count()
         if i & 63:
             r += (int(self._words[i >> 6]) & ((1 << (i & 63)) - 1)).bit_count()

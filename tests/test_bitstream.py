@@ -1,10 +1,10 @@
-"""Bit substrate: writer/reader, packed arrays, vectorised reads."""
+"""Bit substrate: writer/reader, fixed-width packed arrays, vectorised reads."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.bitstream import (
-    BitReader, BitWriter, PackedArray, bits_for, bits_for_signed,
+    BitReader, BitWriter, bits_for, bits_for_signed,
     pack_bits, pad_words, read_packed, signed_width,
 )
 
@@ -107,7 +107,7 @@ class TestWriterReader:
         assert BitReader(words, 64).read(64, 0) == 0
         assert read_packed(words, 0, [1, 2]).tolist() == [0, 0]
         assert read_packed(words, 32, [1]).tolist() == [2]
-        assert PackedArray([0, 0], width=0)[1] == 0
+        assert read_packed(pack_bits([0, 0], [0, 0]), 0, [1]).tolist() == [0]
 
     def test_zero_width_write(self):
         w = BitWriter()
@@ -143,26 +143,24 @@ class TestWriterReader:
 
 
 class TestPackedArray:
+    """A fixed-width array: ``pack_bits`` in cells of the largest value's
+    width, ``read_packed`` back (how DAC, LeCo and ALP store theirs)."""
+
     @given(st.lists(st.integers(0, 10**9), max_size=100))
     @settings(max_examples=50, deadline=None)
     def test_roundtrip(self, vals):
-        pa = PackedArray(vals)
-        assert pa.to_list() == vals
-        assert len(pa) == len(vals)
+        width = bits_for(max(vals, default=0))
+        words = pack_bits(np.asarray(vals, dtype=np.uint64), np.full(len(vals), width))
+        assert read_packed(words, width, np.arange(len(vals))).tolist() == vals
 
     def test_width_minimal(self):
-        pa = PackedArray([0, 7])
-        assert pa.width == 3
-        assert pa.size_bits == 6
+        assert bits_for(7) == 3
+        words = pack_bits([0, 7], [3, 3])
+        assert words.tolist() == [7 << 3]
 
-    def test_negative_raises(self):
+    def test_width_64_rejected(self):
         with pytest.raises(ValueError):
-            PackedArray([-1])
-
-    def test_index_error(self):
-        pa = PackedArray([1, 2])
-        with pytest.raises(IndexError):
-            pa[2]
+            pack_bits([0], [64])
 
 
 class TestReadPacked:

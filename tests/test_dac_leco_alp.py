@@ -7,6 +7,7 @@ from repro.baselines.alp import ALP, ALPCodec
 from repro.baselines.dac import DAC, DACCodec
 from repro.baselines.leco import LeCo, LeCoCodec
 from repro.tsdata import DATASETS, load
+from tests.succinct_reference import RankBitvector
 
 
 class TestDAC:
@@ -144,3 +145,14 @@ class TestALP:
         al = ALP(vals)
         assert np.array_equal(al.decompress(), vals)
         assert al.size_bytes < 1024
+
+
+def test_dac_size_counts_chunks_and_rank_bitvectors():
+    """``size_bits`` is each level's packed chunks plus its continuation
+    bitvector with rank directory, as the test reference lays it out."""
+    ts = load("WD", n=3000)
+    for width in (2, 4, 8, 16):
+        d = DAC(ts.ints, width)
+        expect = sum(len(c) * width + RankBitvector(np.nonzero(c)[0], len(c)).size_bits
+                     for c in d._conts_bool)
+        assert d.size_bits == expect

@@ -1,10 +1,12 @@
 """Measurement harness: the codec table, losslessness verification, metrics."""
+import hashlib
 from functools import partial
 
 import numpy as np
 import pytest
 
 from repro.baselines.blockstore import BlockStore
+from repro.baselines.chimp import Chimp128Codec, ChimpCodec
 from repro.harness import ALL_LOSSLESS, CODECS, input_of, measure
 from repro.tsdata import load
 
@@ -71,3 +73,35 @@ class TestMeasure:
         monkeypatch.setitem(CODECS, "Broken", ("int", partial(BlockStore, Broken())))
         with pytest.raises(AssertionError, match="not lossless"):
             measure("Broken", ts, n_access=5)
+
+
+class TestFormatPins:
+    """The baselines' bits, pinned: a roundtrip passes whatever the format,
+    so these hold the sizes and payloads that the formats produce."""
+
+    SIZES = {
+        "IT": {"Chimp": 25688, "Chimp128": 11336, "DAC": 8792, "LeCo": 5557, "ALP": 6192},
+        "ECG": {"Chimp": 29128, "Chimp128": 15128, "DAC": 5941, "LeCo": 6215, "ALP": 5680},
+        "BP": {"Chimp": 26008, "Chimp128": 26728, "DAC": 17568, "LeCo": 13123, "ALP": 13232},
+    }
+    #: SHA-256 of the payload of the first 1024 values' IEEE-754 bits
+    CHIMP_SHA256 = {
+        ("IT", "Chimp"): "3168128d4aeb5f860bfee3a95e72034b25d38c78885125e0a985b2780fa7080b",
+        ("IT", "Chimp128"): "d328629dd1130802cf174b6740c4fff01fac44b8449654079c45934e9cdff880",
+        ("ECG", "Chimp"): "72acad7f2a549e06c18e93ac547bdd1abc3a3523ce1874f32ce5ffbfb5e5c41c",
+        ("ECG", "Chimp128"): "303a09353b1e24fe6e4939bd8b40b1f58b651b1ce1eb9385d113d913299a126d",
+        ("BP", "Chimp"): "f307b3586ca13dd4ae504f8858644abd51b2b4e2de49fb428c16baa02d7d974b",
+        ("BP", "Chimp128"): "d1e643fac652b141b632c8408b079a5dcfd22ed9853ae0a1a3535370e298c0de",
+    }
+
+    @pytest.mark.parametrize("ds", SIZES)
+    def test_sizes(self, ds):
+        ts = load(ds, n=4096)
+        got = {name: CODECS[name][1](input_of(ts, CODECS[name][0])).size_bytes for name in self.SIZES[ds]}
+        assert got == self.SIZES[ds]
+
+    @pytest.mark.parametrize("ds,codec", CHIMP_SHA256)
+    def test_chimp_payloads(self, ds, codec):
+        bits = load(ds, n=4096).floats[:1024].view(np.uint64)
+        stream = {"Chimp": ChimpCodec, "Chimp128": Chimp128Codec}[codec]()
+        assert hashlib.sha256(stream.compress(bits)).hexdigest() == self.CHIMP_SHA256[ds, codec]

@@ -10,7 +10,7 @@ from repro.core.models import (
     Logarithmic, Power, Quadratic2, Quadratic3, Radical, family_by_kind,
     fit_fragment,
 )
-from repro.core.piecewise import Piece, frag_rows
+from repro.core.partition import Piece, frag_rows
 
 RNG = np.random.default_rng(0)
 

@@ -14,10 +14,9 @@ from repro.core.lossy import NeaTSLossy
 from repro.core.models import DEFAULT_FAMILIES, FAMILIES, Family, Linear, family_by_kind
 from repro.core.neats import NeaTS
 from repro.core.partition import (
-    FRAGMENT_OVERHEAD_BITS, OutOfDomainError, default_epsilons, optimal_partition,
+    FRAGMENT_OVERHEAD_BITS, OutOfDomainError, default_epsilons, frag_rows, optimal_partition,
     select_pairs,
 )
-from repro.core.piecewise import frag_rows
 from repro.tsdata import DATASETS, load
 from tests.partition_reference import optimal_partition_reference
 
@@ -111,15 +110,10 @@ class TestOptimalPartition:
 class TestDefaultEpsilons:
     def test_includes_zero_and_powers(self):
         ys = np.asarray([0, 1000], dtype=np.int64)
-        eps = default_epsilons(ys, step_bits=1)
+        eps = default_epsilons(ys)
         assert eps[0] == 0
         assert all(e & (e - 1) == 0 for e in eps[1:])
         assert max(eps) <= 1024
-
-    def test_max_bits_cap(self):
-        ys = np.asarray([0, 2**40], dtype=np.int64)
-        eps = default_epsilons(ys, max_bits=10)
-        assert max(eps) < 2**10
 
 
 class TestSelectPairs:

@@ -1,12 +1,17 @@
-"""Corollary 1: greedy piecewise eps-approximation."""
+"""Corollary 1: greedy piecewise eps-approximation (the test reference), and
+PLA's kernel partition against it."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.baselines.pla import PLA
 from repro.core import native
 from repro.core.models import DEFAULT_FAMILIES, Linear, Radical
-from repro.core.piecewise import frag_rows, piecewise_partition
+from repro.core.partition import frag_rows
+from repro.tsdata import DATASETS, load
 
 from tests.lp_oracle import longest_prefix
+from tests.partition_reference import piecewise_partition
 
 
 def _walk(seed, n=600, sigma=5.0):
@@ -75,3 +80,27 @@ class TestGreedyPartition:
         ys = _walk(0, n=50)
         p = piecewise_partition(ys, Linear(), 1000)[0]
         assert len(p) == p.end - p.start
+
+
+class TestPLAKernel:
+    """``PLA.compress`` partitions in the C kernel (Algorithm 1 in lossy mode
+    with the single pair (Linear, eps)); its pieces must be the greedy
+    reference's, which are optimal in count (O'Rourke)."""
+
+    @staticmethod
+    def check(ys, eps):
+        got = [(p.start, p.end, p.params, p.delta) for p in PLA.compress(ys, eps).pieces]
+        ref = [(p.start, p.end, p.params, p.delta) for p in piecewise_partition(ys, Linear(), eps)]
+        assert got == ref
+
+    @pytest.mark.parametrize("frac", [0.001, 0.005, 0.02, 0.1])
+    @pytest.mark.parametrize("n", [1024, 4096])
+    @pytest.mark.parametrize("name", DATASETS)
+    def test_datasets(self, name, n, frac):
+        ts = load(name, n=n)
+        self.check(ts.ints, int(ts.value_range * frac))
+
+    @given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=300), st.sampled_from([0, 0, 1, 50]))
+    @settings(max_examples=60, deadline=None)
+    def test_random_series_with_negatives(self, vals, eps):
+        self.check(np.asarray(vals, dtype=np.int64), eps)
