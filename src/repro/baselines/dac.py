@@ -9,7 +9,8 @@ reproduce.
 
 The chunk width is chosen per input among {2, 4, 8, 16} to minimise total
 size (the original optimises level widths with DP; a global width search
-captures the same knob).
+captures the same knob).  The size of each width follows from the level
+lengths, so only the chosen width is built.
 
 Performance note: the stored structure is the packed chunk arrays and the
 continuation bitvectors with their rank directories, one 64-bit count per
@@ -121,13 +122,25 @@ class DAC:
         return self.size_bits // 8 + 16
 
 
+def _size_bits(ordered: np.ndarray, width: int) -> int:
+    """``DAC(values, width).size_bits`` from the level lengths alone, with
+    ``ordered`` the sorted zigzags of ``values``: level ``l`` holds one
+    chunk of every value whose zigzag is >= 2^(width * l)."""
+    bits, level, count = 0, 0, len(ordered)
+    while count:
+        bits += _level_bits(count, width)
+        level += 1
+        if width * level >= 64:
+            break
+        count = len(ordered) - int(np.searchsorted(ordered, np.uint64(1 << (width * level))))
+    return bits
+
+
 class DACCodec:
     name = "DAC"
 
     def build(self, values: np.ndarray) -> DAC:
-        best = None
-        for w in _WIDTHS:
-            d = DAC(values, w)
-            if best is None or d.size_bits < best.size_bits:
-                best = d
-        return best
+        """The DAC of the smallest ``size_bits`` over ``_WIDTHS`` (the first
+        on a tie), sized from the level lengths and built once."""
+        ordered = np.sort(_zigzag(np.asarray(values, dtype=np.int64)))
+        return DAC(values, min(_WIDTHS, key=lambda w: _size_bits(ordered, w)))

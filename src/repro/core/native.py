@@ -1,38 +1,50 @@
 """Build, load and bind the C library of NeaTS.
 
-The library holds Algorithm 1 with the Theorem 1 fitter (``alg1.c``) and
-the Table I evaluator with Algorithms 2 and 3 (``neats.c``).  It is
-compiled with the system ``gcc`` on first use and cached in ``_build/``
-beside the sources, under a name that hashes the sources, the flags and
-the platform.  So one checkout compiles it once, whichever of its processes
-(Spark workers included) gets there first; a concurrent build writes a
-private temporary file and ``os.replace``-s it into place.  Every NeaTS
-encode and decode runs through it: when it cannot be built or loaded,
-:func:`library` raises :class:`NativeLibraryError`.
+The library holds Algorithm 1 with the Theorem 1 fitter (``alg1.c``), the
+Table I evaluator with Algorithms 2 and 3 (``neats.c``), and the CPython
+type ``Reader`` that answers NeaTS's reads (``reader.c``, which includes
+``neats.c``).  It is compiled with the system ``gcc`` against the running
+interpreter's headers on first use and cached in ``_build/`` beside the
+sources, under a name that hashes the sources, the flags, the platform and
+the interpreter's ABI.  So one checkout compiles it once per interpreter,
+whichever of its processes (Spark workers included) gets there first; a
+concurrent build writes a private temporary file and ``os.replace``-s it
+into place.
+
+The one shared object is loaded twice over: through ``ctypes`` for the
+write path (``neats_alg1``, ``neats_eval``/``neats_approx``,
+``neats_encode``; called once per block, each marshals a few numpy
+arrays), and as the extension module ``repro.core._reader`` for the read
+path, whose per-call cost is a method call with no marshalling.  Every
+NeaTS encode and decode runs through it: when it cannot be built or
+loaded, :func:`library` raises :class:`NativeLibraryError`.
 """
 from __future__ import annotations
 
 import ctypes
 import functools
 import hashlib
+import importlib.util
 import os
 import platform
 import subprocess
+import sysconfig
 import tempfile
 
 import numpy as np
 
-__all__ = ["FRAG", "NativeLibraryError", "View", "alg1", "build", "evaluate", "library"]
+__all__ = ["FRAG", "NativeLibraryError", "alg1", "build", "evaluate", "library"]
 
 _DIR = os.path.dirname(os.path.abspath(__file__))
-_SOURCES = ("alg1.c", "neats.c")
-_HEADERS = ("families.h",)
+_SOURCES = ("alg1.c", "reader.c")
+_HEADERS = ("families.h", "neats.c")  # neats.c is included by reader.c
 _CACHE = os.path.join(_DIR, "_build")
 #: No -ffast-math and no -march=native: the fitter must round exactly as
 #: CPython's float arithmetic does, and the evaluator's rounding is part of
 #: the payload format; -ffp-contract=off forbids fused multiply-adds that
 #: would round once where Python rounds twice.
 _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_INCLUDE = sysconfig.get_paths()["include"]  # Python.h of the running interpreter
 
 _I64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
 _I32 = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
@@ -43,13 +55,6 @@ _PTR, _INT = ctypes.c_void_p, ctypes.c_int64
 #: ``frag`` of ``neats.c``: one fragment of a payload, decoded once.
 FRAG = np.dtype([("start", "<i8"), ("off", "<i8"), ("delta", "<i8"), ("p", "<f8", 3),
                  ("kind", "<i8"), ("width", "<i8")])
-
-
-class View(ctypes.Structure):
-    """``view`` of ``neats.c``: the payload and its fragment rows (set by
-    the caller), and the header fields ``neats_view`` reads."""
-    _fields_ = [("payload", ctypes.c_char_p), ("len", _INT), ("frags", _PTR), ("cap", _INT),
-                ("n", _INT), ("shift", _INT), ("m", _INT), ("cwords", _INT)]
 
 
 class NativeLibraryError(RuntimeError):
@@ -63,7 +68,8 @@ def build(cache_dir: str = _CACHE) -> str:
     for name in _SOURCES + _HEADERS:
         with open(os.path.join(_DIR, name), "rb") as f:
             parts.append(f.read())
-    key = b"\0".join([*parts, " ".join(_FLAGS).encode(), platform.machine().encode()])
+    key = b"\0".join([*parts, " ".join(_FLAGS).encode(), platform.machine().encode(),
+                      sysconfig.get_config_var("EXT_SUFFIX").encode(), _INCLUDE.encode()])
     path = os.path.join(cache_dir, f"neats-{hashlib.sha256(key).hexdigest()[:16]}.so")
     if os.path.exists(path):
         return path
@@ -71,7 +77,8 @@ def build(cache_dir: str = _CACHE) -> str:
     fd, tmp = tempfile.mkstemp(prefix=".neats-", suffix=".so", dir=cache_dir)
     os.close(fd)
     try:
-        subprocess.run(["gcc", *_FLAGS, "-o", tmp, *(os.path.join(_DIR, s) for s in _SOURCES), "-lm"],
+        subprocess.run(["gcc", *_FLAGS, f"-I{_INCLUDE}", "-o", tmp,
+                        *(os.path.join(_DIR, s) for s in _SOURCES), "-lm"],
                        check=True, capture_output=True, text=True)
         os.replace(tmp, path)
     finally:
@@ -82,12 +89,20 @@ def build(cache_dir: str = _CACHE) -> str:
 
 @functools.cache
 def library() -> ctypes.CDLL:
-    """The loaded library with its entry points bound."""
+    """The loaded library with its write-path entry points bound, and the
+    read path's type as ``library().Reader``: ``Reader(payload, frags)``
+    validates the ``bytes`` payload into the ``FRAG`` rows ``frags`` (one
+    per fragment plus a sentinel) and holds both."""
     try:
-        lib = ctypes.CDLL(build())
+        path = build()
+        lib = ctypes.CDLL(path)
+        spec = importlib.util.spec_from_file_location("repro.core._reader", path)
+        reader = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(reader)
+        lib.Reader = reader.Reader
     except subprocess.CalledProcessError as e:
         raise NativeLibraryError(f"cannot compile the NeaTS library: {e.stderr.strip()}") from e
-    except OSError as e:
+    except (OSError, ImportError) as e:
         raise NativeLibraryError(f"cannot build or load the NeaTS library: {e}") from e
     lib.neats_alg1.argtypes = [_I64, ctypes.c_long, _I32, _U64, _I64, _I64, ctypes.c_long,
                                _I64, _I64, _I32, _I64, _F64, _F64]
@@ -96,14 +111,6 @@ def library() -> ctypes.CDLL:
     lib.neats_eval.restype = None
     lib.neats_approx.argtypes = [_PTR, _INT, _PTR]
     lib.neats_approx.restype = None
-    lib.neats_view.argtypes = [_PTR]
-    lib.neats_view.restype = ctypes.c_int
-    lib.neats_access.argtypes = [_PTR, _INT]
-    lib.neats_access.restype = _INT
-    lib.neats_access_many.argtypes = [_PTR, _PTR, _INT, _PTR]
-    lib.neats_access_many.restype = ctypes.c_int
-    lib.neats_scan.argtypes = [_PTR, _INT, _INT, _PTR]
-    lib.neats_scan.restype = None
     lib.neats_encode.argtypes = [_PTR, _INT, _PTR, _INT, _PTR, _INT]
     lib.neats_encode.restype = _INT
     return lib

@@ -13,13 +13,18 @@ into one payload, the bytes of ``to_bytes``:
 * ``D`` — per-fragment domain offsets (footnote 4: fragments produced by
   suffix edges evaluate the fitted function at ``x + delta``).
 
-A ``NeaTS`` object is that payload and a view of it.  The C library
+A ``NeaTS`` object is that payload and a reader of it.  The C library
 (``neats.c``) writes the payload from the fragment rows and corrections
-(``neats_encode``), validates it once, decodes S, B, O, K, P and D into
-one row per fragment, and answers ``decompress``, ``scan``, ``access`` and
-``access_many`` in one call each, from those rows and the payload's own
-``C`` words.  A payload that does not parse raises
-:class:`CorruptPayloadError`.
+(``neats_encode``, through ``ctypes``).  Reads go through
+``native.library().Reader``, a CPython type (``reader.c``) built from the
+payload ``bytes`` and an ndarray of ``FRAG`` rows: it validates the
+payload once, decodes S, B, O, K, P and D into one row per fragment, and
+answers ``access`` as one method call taking and returning a Python int,
+and ``decompress``, ``scan`` and ``access_many`` as one call each that
+writes into an int64 array allocated here, from those rows and the
+payload's own ``C`` words.  The type checks every index against ``n``;
+the methods below only add the errors of the public interface.  A payload
+that does not parse raises :class:`CorruptPayloadError`.
 
 Corrections ``c_k = y_k - floor(f(x_k))`` are stored two's-complement in
 ``B[i]`` bits.  ``floor(f(x))`` comes from the library's one evaluator for
@@ -37,7 +42,6 @@ III-C) is always 0.
 """
 from __future__ import annotations
 
-import ctypes
 import struct
 
 import numpy as np
@@ -93,19 +97,16 @@ class NeaTS:
 
     def _attach(self, blob: bytes) -> None:
         """Validate ``blob`` and decode its fragment rows, in one C call.
-        The object holds ``blob`` for as long as the view points into it."""
-        lib = native.library()
+        The reader holds ``blob`` and the rows for as long as it lives."""
         m = _HEADER.unpack_from(blob)[3] if len(blob) >= _HEADER.size else 0
         # every fragment stores at least two float64 parameters
         frags = np.empty(min(max(m, 0), len(blob) // 16) + 1, dtype=native.FRAG)
-        view = native.View(blob, len(blob), frags.ctypes.data, len(frags))
-        err = lib.neats_view(ctypes.addressof(view))
-        if err:
-            raise CorruptPayloadError(_VIEW_ERRORS[err])
-        self._blob, self._frags, self._view = blob, frags, view
-        self._vp = ctypes.addressof(view)
-        self._lib, self._access = lib, lib.neats_access
-        self.n, self.shift, self.m = view.n, view.shift, view.m
+        try:
+            reader = native.library().Reader(blob, frags)
+        except ValueError as e:  # neats_view's error code
+            raise CorruptPayloadError(_VIEW_ERRORS[e.args[0]]) from None
+        self._blob, self._frags, self._reader = blob, frags, reader
+        self.n, self.shift, self.m = reader.n, reader.shift, reader.m
 
     # ------------------------------------------------------------------ build
     @classmethod
@@ -131,7 +132,7 @@ class NeaTS:
     def decompress(self) -> np.ndarray:
         """Algorithm 2: full decompression."""
         out = np.empty(self.n, dtype=np.int64)
-        self._lib.neats_scan(self._vp, 0, self.n, out.ctypes.data)
+        self._reader.scan(0, out)
         return out
 
     def scan(self, lo: int, hi: int) -> np.ndarray:
@@ -140,14 +141,13 @@ class NeaTS:
         if not 0 <= lo <= hi <= self.n:
             raise IndexError((lo, hi))
         out = np.empty(hi - lo, dtype=np.int64)
-        self._lib.neats_scan(self._vp, lo, hi, out.ctypes.data)
+        self._reader.scan(lo, out)
         return out
 
     def access(self, k: int) -> int:
-        """Algorithm 3: random access to T[k] (0-based)."""
-        if not 0 <= k < self.n:
-            raise IndexError(k)
-        return self._access(self._vp, k)
+        """Algorithm 3: random access to T[k] (0-based); IndexError unless
+        0 <= k < n."""
+        return self._reader.access(k)
 
     #: Algorithm 3 over the stored succinct structures: the same call as
     #: ``access``
@@ -157,8 +157,7 @@ class NeaTS:
         """Algorithm 3 for every index in ``ks``, in one call."""
         ks = np.ascontiguousarray(ks, dtype=np.int64)
         out = np.empty(len(ks), dtype=np.int64)
-        if self._lib.neats_access_many(self._vp, ks.ctypes.data, len(ks), out.ctypes.data):
-            raise IndexError("an index is out of range")
+        self._reader.access_many(ks, out)
         return out
 
     # ---------------------------------------------------------- serialisation

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines.alp import ALP, ALPCodec
-from repro.baselines.dac import DAC, DACCodec
+from repro.baselines.dac import _WIDTHS, DAC, DACCodec, _size_bits, _zigzag
 from repro.baselines.leco import LeCo, LeCoCodec
 from repro.tsdata import DATASETS, load
 from tests.succinct_reference import RankBitvector
@@ -51,6 +51,23 @@ class TestDAC:
         best = DACCodec().build(arr)
         for w in (2, 4, 8, 16):
             assert best.size_bits <= DAC(arr, w).size_bits
+
+    @pytest.mark.parametrize("name", DATASETS)
+    def test_width_from_level_lengths_matches_building_all(self, name):
+        """The width sized from the level lengths is the one that building
+        every width and keeping the smallest (first on a tie) picks."""
+        ints = load(name, n=8192).ints
+        built = [DAC(ints, w) for w in _WIDTHS]
+        want = min(built, key=lambda d: d.size_bits)
+        got = DACCodec().build(ints)
+        assert (got.width, got.size_bits) == (want.width, want.size_bits)
+        assert [_size_bits(np.sort(_zigzag(ints)), w) for w in _WIDTHS] == [d.size_bits for d in built]
+
+    @pytest.mark.parametrize("vals", [[], [0], [-1, 1], [2**63 - 1, -(2**63)], [3] * 700])
+    def test_width_sizes_at_the_extremes(self, vals):
+        arr = np.asarray(vals, dtype=np.int64)
+        for w in _WIDTHS:
+            assert _size_bits(np.sort(_zigzag(arr)), w) == DAC(arr, w).size_bits
 
     def test_zigzag_negatives(self):
         arr = np.asarray([-1, 0, 1, -2**40, 2**40], dtype=np.int64)

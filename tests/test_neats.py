@@ -1,8 +1,11 @@
 """NeaTS end-to-end: lossless roundtrip, random access, scan, serialisation."""
+import gc
 import os
 import struct
 import subprocess
 import sys
+import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -425,6 +428,183 @@ class TestCorruptPayload:
             NeaTS.from_bytes(blob + struct.pack("<q", top - 1))
         with pytest.raises(CorruptPayloadError, match="overruns"):
             NeaTS.from_bytes(blob + struct.pack("<q", top))
+
+
+class TestReaderContract:
+    """The arguments of the read path, as ``native.library().Reader``
+    checks them: the exceptions of the pure-Python checks they replace."""
+
+    @pytest.fixture(scope="class")
+    def block(self):
+        ys = load("IT", n=1024, seed=5).ints
+        return NeaTS.from_bytes(NeaTS.compress(ys).to_bytes()), ys
+
+    def test_access_takes_numpy_integers(self, block):
+        c, ys = block
+        for k in (np.int64(0), np.int32(17), np.uint16(1023), np.int64(511)):
+            assert c.access(k) == ys[int(k)]
+            assert c.access_succinct(k) == ys[int(k)]
+
+    @pytest.mark.parametrize("k", [-1, 1024, 2**63 - 1, 2**63, 2**70, -(2**70), np.int64(-1), np.int64(1024)])
+    def test_access_out_of_range(self, block, k):
+        c, _ = block
+        with pytest.raises(IndexError):
+            c.access(k)
+        with pytest.raises(IndexError):
+            c.access_succinct(k)
+
+    @pytest.mark.parametrize("k", [1.0, "3", None])
+    def test_access_of_a_non_integer(self, block, k):
+        c, _ = block
+        with pytest.raises(TypeError):
+            c.access(k)
+
+    @pytest.mark.parametrize("lo, hi", [(5, 4), (1024, 1023), (0, 1025), (1000, 2**70), (-1, 3), (-(2**70), 0)])
+    def test_scan_out_of_range(self, block, lo, hi):
+        c, _ = block
+        with pytest.raises(IndexError):
+            c.scan(lo, hi)
+
+    def test_scan_takes_numpy_integers(self, block):
+        c, ys = block
+        assert np.array_equal(c.scan(np.int64(100), np.int32(110)), ys[100:110])
+        assert c.scan(1024, 1024).tolist() == []
+
+    @pytest.mark.parametrize("ks", [[0, 1024], [-1], [2**62], np.asarray([3, 1024], dtype=np.int32)])
+    def test_access_many_out_of_range(self, block, ks):
+        c, _ = block
+        with pytest.raises(IndexError):
+            c.access_many(ks)
+
+    def test_access_many_of_nothing(self, block):
+        c, _ = block
+        out = c.access_many(np.empty(0, dtype=np.int64))
+        assert out.dtype == np.int64 and out.shape == (0,)
+
+    def test_access_many_of_any_integer_array(self, block):
+        c, ys = block
+        ks = np.arange(0, 1024, 7)
+        for keys in (ks.astype(np.int32), ks.astype(np.uint16), ks[::-1].copy()[::-1], ks.tolist()):
+            assert np.array_equal(c.access_many(keys), ys[np.asarray(keys)])
+
+    def test_reader_refuses_other_buffers(self, block):
+        """The type checks what the methods above never pass it."""
+        reader = block[0]._reader
+        with pytest.raises(TypeError):
+            reader.scan(0, np.empty(4, dtype=np.float64))
+        with pytest.raises(TypeError):
+            reader.access_many(np.zeros(4, dtype=np.int64), np.empty(4, dtype=np.int32))
+        with pytest.raises(ValueError):
+            reader.access_many(np.zeros(4, dtype=np.int64), np.empty(3, dtype=np.int64))
+        with pytest.raises(ValueError, match="contiguous"):
+            reader.scan(0, np.empty(4, dtype=np.int64)[::2])
+        with pytest.raises(BufferError):
+            reader.scan(0, np.empty(4, dtype=np.int64).tobytes())  # read-only
+
+
+class TestReaderLifetime:
+    def test_decodes_after_the_source_buffer_is_gone(self):
+        ys = load("DU", n=2048, seed=11).ints
+        source = bytearray(NeaTS.compress(ys).to_bytes())
+        c = NeaTS.from_bytes(source)
+        source[:] = bytes(len(source))
+        del source
+        gc.collect()
+        _check_lossless(c, ys)
+
+    def test_reader_outlives_its_neats(self):
+        ys = load("ECG", n=1024, seed=11).ints
+        reader = NeaTS.compress(ys)._reader
+        gc.collect()
+        out = np.empty(10, dtype=np.int64)
+        reader.scan(100, out)
+        assert out.tolist() == ys[100:110].tolist()
+        assert reader.access(1023) == ys[1023]
+
+    def test_no_growth_over_many_cycles(self):
+        """from_bytes -> access -> scan, 10 000 times, keeps no memory and
+        no reference to the payload."""
+        blob = NeaTS.compress(load("BP", n=1024, seed=11).ints).to_bytes()
+        source = bytearray(blob)  # a fresh bytes object per cycle
+
+        def cycles(count):
+            for i in range(count):
+                c = NeaTS.from_bytes(source if i % 2 else blob)
+                c.access(i % c.n)
+                c.scan(i % 1000, i % 1000 + 10)
+                c.access_many(np.arange(i % 64))
+
+        cycles(200)
+        refs = sys.getrefcount(blob)
+        tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            cycles(10_000)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 64 * 1024  # a leaked payload or reader per cycle is >= 10 MB
+        assert sys.getrefcount(blob) == refs
+
+
+_FUZZ = textwrap.dedent("""
+    import sys
+    import numpy as np
+    from repro.core.neats import CorruptPayloadError, NeaTS
+    from repro.tsdata import load
+
+    rng = np.random.default_rng(int(sys.argv[1]))
+    blobs = [NeaTS.compress(load(name, n=1024, seed=9).ints).to_bytes() for name in ("IT", "DU", "ECG", "BP")]
+    blobs.append(NeaTS.compress(np.asarray([7, -3], dtype=np.int64)).to_bytes())
+    blobs.append(NeaTS.compress(np.full(900, 5, dtype=np.int64)).to_bytes())  # corrections 0 bits wide
+    refused = decoded = 0
+    for trial in range(int(sys.argv[2])):
+        blob = bytearray(blobs[trial % len(blobs)])
+        how = trial % 3
+        if how == 0:  # flip 1-3 bits
+            for bit in rng.integers(0, 8 * len(blob), rng.integers(1, 4)):
+                blob[bit // 8] ^= 1 << (bit % 8)
+        elif how == 1:  # truncate, then maybe flip a bit
+            blob = blob[:rng.integers(0, len(blob))]
+            if blob and rng.random() < 0.5:
+                blob[rng.integers(0, len(blob))] ^= 1 << rng.integers(0, 8)
+        else:  # overwrite 1-4 bytes
+            for at in rng.integers(0, len(blob), rng.integers(1, 5)):
+                blob[at] = rng.integers(0, 256)
+        try:
+            c = NeaTS.from_bytes(blob)
+        except CorruptPayloadError:
+            refused += 1
+            continue
+        decoded += 1
+        n = c.n
+        ks = np.asarray([0, n // 3, n // 2, n - 1], dtype=np.int64)
+        [c.access(int(k)) for k in ks]
+        c.access_many(ks)
+        c.scan(max(0, n - 10), n)
+        c.scan(0, min(n, 10))
+        # no section bounds n when the last fragment's corrections are 0 bits
+        # wide, so a flipped n can parse: decode whole only what fits in memory
+        if n <= 4096:
+            c.decompress()
+    print(refused, decoded)
+""")
+
+
+def test_corrupt_payloads_never_crash():
+    """Flipped, truncated and overwritten payloads raise CorruptPayloadError
+    or decode to some value; none crashes the process (so the loop runs in
+    a child process, where a segfault fails the test instead of pytest)."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    trials = 2000
+    proc = subprocess.run([sys.executable, "-c", _FUZZ, "20261019", str(trials)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    refused, decoded = map(int, proc.stdout.split())
+    assert refused + decoded == trials
+    assert refused > 0 and decoded > 0
 
 
 _AVX512 = ("AVX512F", "AVX512CD", "AVX512_SKX", "AVX512_CLX", "AVX512_CNL", "AVX512_ICL")
