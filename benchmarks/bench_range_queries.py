@@ -6,7 +6,7 @@ regenerates the throughput table.
 import numpy as np
 import pytest
 
-from repro.harness import CODECS, input_of
+from repro.harness import CODECS, FIG4, input_of
 from repro.tsdata import load
 
 N = 4096
@@ -16,10 +16,6 @@ RANGES = [10, 160, 2560]
 @pytest.fixture(scope="module")
 def ts():
     return load("IT", n=N)
-
-
-#: Fig. 4 label -> codec table name: NeaTS runs as its SNeaTS variant
-FIG4 = {"NeaTS": "SNeaTS", "DAC": "DAC", "ALP": "ALP", "Lz4": "Lz4"}
 
 
 @pytest.fixture(scope="module")

@@ -50,28 +50,21 @@ os.environ.setdefault(
 import pytest  # noqa: E402
 from pyspark.sql import SparkSession  # noqa: E402
 
+from repro.runner import get_spark  # noqa: E402
+
 
 @pytest.fixture(scope="session")
 def spark() -> SparkSession:
-    """One local-mode SparkSession for the whole test session.
+    """One local-mode SparkSession for the whole test session, configured
+    as the jobs' (``repro.runner.get_spark``).
 
-    Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch). Per-session configs that *are* honoured post-launch
-    (shuffle partitions, Arrow, broadcast threshold) are set here.
-    Broadcast joins are disabled so that the random-access batch join in
-    ``repro.sparkio`` exercises the shuffle path even on the small test
-    stores; a test that wants a broadcast join sets the threshold back.
+    Driver memory comes from ``PYSPARK_SUBMIT_ARGS`` (set above,
+    pre-JVM-launch).  ``get_spark`` disables broadcast joins, so the
+    random-access batch join in ``repro.sparkio`` exercises the shuffle
+    path even on the small test stores; a test that wants a broadcast join
+    sets the threshold back.
     """
-    s = (
-        SparkSession.builder.appName("repro")
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
-        )
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
+    s = get_spark("repro")
     # One line in test_output.txt that tells the driver whether the
     # cgroup derivation saw the real limit (README § Spark target).
     print(

@@ -16,15 +16,12 @@ import time
 
 import numpy as np
 
-from repro.harness import CODECS, input_of
+from repro.harness import CODECS, FIG4, input_of
 from repro.runner import dump_json
 from repro.tsdata import load
 
 #: the largest datasets, as in the paper ("averaged over the 11 largest")
 RANGE_DATASETS = ["IT", "US", "ECG", "WD", "AP"]
-
-#: Fig. 4 label -> codec table name: NeaTS runs as its SNeaTS variant
-FIG4 = {"NeaTS": "SNeaTS", "DAC": "DAC", "ALP": "ALP", "Lz4": "Lz4"}
 
 
 def build_artifacts(ts):

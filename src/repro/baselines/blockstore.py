@@ -4,8 +4,9 @@
 of 1000 consecutive values [and] maintain an array that maps each block
 index to a pointer referencing the starting byte of the block" — this
 module is exactly that wrapper, generic over any stream codec with
-``compress(values) -> bytes`` / ``decompress(bytes, n_values) -> values``:
-the general-purpose codecs and the XOR codecs.
+``compress(values) -> payload`` / ``decompress(payload, n_values) ->
+values``: the general-purpose codecs and the XOR codecs over 1000-value
+blocks, and ALP over its 1024-value vectors.
 """
 from __future__ import annotations
 
@@ -22,10 +23,7 @@ class BlockStore:
         self.block = block
         self.n = len(values)
         self.dtype = values.dtype
-        self.payloads: list[bytes] = []
-        for i in range(0, self.n, block):
-            chunk = values[i:i + block]
-            self.payloads.append(codec.compress(chunk))
+        self.payloads = [codec.compress(values[i:i + block]) for i in range(0, self.n, block)]
 
     @property
     def size_bytes(self) -> int:
@@ -39,7 +37,7 @@ class BlockStore:
         return np.concatenate([self._decode_block(b) for b in range(len(self.payloads))])
 
     def access(self, k: int):
-        """Random access: decompress the containing 1000-value block."""
+        """Random access: decompress the containing block."""
         if not 0 <= k < self.n:
             raise IndexError(k)
         return self._decode_block(k // self.block)[k % self.block]

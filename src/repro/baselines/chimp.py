@@ -20,18 +20,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.bitstream import BitReader, BitWriter
+from .gorilla import _clz64, _ctz64
 
 __all__ = ["ChimpCodec", "Chimp128Codec"]
 
 _ROUND = [0, 8, 12, 16, 18, 20, 22, 24]  # leading-zero rounding table
-
-
-def _clz64(x: int) -> int:
-    return 64 - x.bit_length() if x else 64
-
-
-def _ctz64(x: int) -> int:
-    return (x & -x).bit_length() - 1 if x else 64
 
 
 def _lead_code(lead: int) -> int:

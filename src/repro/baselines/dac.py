@@ -25,9 +25,9 @@ import numpy as np
 
 from ..core.bitstream import pack_bits, pad_words, read_packed
 
-__all__ = ["DACCodec", "DAC"]
+__all__ = ["DAC"]
 
-#: the chunk widths that ``DACCodec`` tries
+#: the chunk widths that ``DAC.build`` tries
 _WIDTHS = (2, 4, 8, 16)
 
 
@@ -75,7 +75,16 @@ class DAC:
         self._conts_list = [hb.tolist() for hb in self._conts_bool]
         self._ranks_list = [r.tolist() for r in self._ranks]
 
+    @classmethod
+    def build(cls, values: np.ndarray) -> "DAC":
+        """The DAC of the smallest ``size_bits`` over ``_WIDTHS`` (the first
+        on a tie), sized from the level lengths and built once."""
+        ordered = np.sort(_zigzag(np.asarray(values, dtype=np.int64)))
+        return cls(values, min(_WIDTHS, key=lambda w: _size_bits(ordered, w)))
+
     def access(self, i: int) -> int:
+        if not 0 <= i < self.n:
+            raise IndexError(i)
         v = 0
         shift = 0
         width = self.width
@@ -97,6 +106,8 @@ class DAC:
 
     def scan(self, lo: int, hi: int) -> np.ndarray:
         """Range query [lo, hi): vectorised multi-level gather."""
+        if not 0 <= lo <= hi <= self.n:
+            raise IndexError((lo, hi))
         idx = np.arange(lo, hi, dtype=np.int64)
         out = np.zeros(len(idx), dtype=np.uint64)
         live = np.arange(len(idx), dtype=np.int64)
@@ -135,12 +146,3 @@ def _size_bits(ordered: np.ndarray, width: int) -> int:
         count = len(ordered) - int(np.searchsorted(ordered, np.uint64(1 << (width * level))))
     return bits
 
-
-class DACCodec:
-    name = "DAC"
-
-    def build(self, values: np.ndarray) -> DAC:
-        """The DAC of the smallest ``size_bits`` over ``_WIDTHS`` (the first
-        on a tie), sized from the level lengths and built once."""
-        ordered = np.sort(_zigzag(np.asarray(values, dtype=np.int64)))
-        return DAC(values, min(_WIDTHS, key=lambda w: _size_bits(ordered, w)))

@@ -34,8 +34,9 @@ class GPCodec:
         return self._c(np.ascontiguousarray(values).tobytes())
 
     def decompress(self, blob: bytes, n_values: int) -> np.ndarray:
-        raw = self._d(blob, n_values * 8)
-        return np.frombuffer(raw, dtype=np.int64, count=n_values)
+        """The values of ``blob``: Xz decodes as many as the stream holds,
+        the pyarrow codecs fill ``n_values`` of them."""
+        return np.frombuffer(self._d(blob, n_values * 8), dtype=np.int64)
 
 
 GP_CODECS = ["Xz", "Brotli", "Zstd", "Lz4", "Snappy"]

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..core.bitstream import BitReader, pack_bits, read_packed, signed_width
 
-__all__ = ["LeCoCodec", "LeCo"]
+__all__ = ["LeCo"]
 
 _INIT_BLOCK = 128
 _META_BITS = 2 * 64 + 8 + 32 + 32  # slope+intercept, width byte, start, offset
@@ -97,6 +97,8 @@ class LeCo:
         return (bits + 7) // 8
 
     def access(self, k: int) -> int:
+        if not 0 <= k < self.n:
+            raise IndexError(k)
         i = int(np.searchsorted(self._starts, k, side="right")) - 1
         f = self.frags[i]
         yhat = int(np.floor(f.slope * (k - f.start) + f.intercept))
@@ -122,9 +124,3 @@ class LeCo:
 def len_(f: _Frag) -> int:
     return f.end - f.start
 
-
-class LeCoCodec:
-    name = "LeCo"
-
-    def compress(self, values: np.ndarray) -> LeCo:
-        return LeCo(values)

@@ -63,7 +63,9 @@ class Family:
         raise NotImplementedError
 
     def params_from_mb(self, m: float, b: float, x0: int, y0: int) -> tuple:
-        raise NotImplementedError
+        """The family's parameters from the fitted ``(m, b)``; most store
+        them as they are."""
+        return (m, b)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<{type(self).__name__}>"
@@ -76,9 +78,6 @@ class Linear(Family):
     def constraint(self, x, y, eps, x0, y0):
         return float(x), float(y - eps), float(y + eps)
 
-    def params_from_mb(self, m, b, x0, y0):
-        return (m, b)
-
 
 class Radical(Family):
     """f(x) = th1*sqrt(x) + th2 — Table I row 5."""
@@ -87,9 +86,6 @@ class Radical(Family):
     def constraint(self, x, y, eps, x0, y0):
         return math.sqrt(x), float(y - eps), float(y + eps)
 
-    def params_from_mb(self, m, b, x0, y0):
-        return (m, b)
-
 
 class Quadratic2(Family):
     """f(x) = th1*x^2 + th2 — Table I row 6."""
@@ -97,9 +93,6 @@ class Quadratic2(Family):
 
     def constraint(self, x, y, eps, x0, y0):
         return float(x) * x, float(y - eps), float(y + eps)
-
-    def params_from_mb(self, m, b, x0, y0):
-        return (m, b)
 
 
 class Quadratic3(Family):
@@ -153,14 +146,12 @@ class Power(Family):
 
 
 class Logarithmic(Family):
-    """f(x) = ln(th2 * x^th1) = th1*ln(x) + ln(th2) — Table I row 3."""
+    """f(x) = ln(th2 * x^th1) = th1*ln(x) + ln(th2) — Table I row 3; stored
+    as (th1, ln th2)."""
     kind = "logarithmic"
 
     def constraint(self, x, y, eps, x0, y0):
         return math.log(x), float(y - eps), float(y + eps)
-
-    def params_from_mb(self, m, b, x0, y0):
-        return (m, b)  # store (th1, ln th2) directly
 
 
 class CubicOdd(Family):
@@ -170,9 +161,6 @@ class CubicOdd(Family):
     def constraint(self, x, y, eps, x0, y0):
         fx = float(x)
         return fx * fx, (y - eps) / fx, (y + eps) / fx
-
-    def params_from_mb(self, m, b, x0, y0):
-        return (m, b)
 
 
 #: every implemented Table-I family, for coverage tests

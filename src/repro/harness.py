@@ -13,39 +13,28 @@ ALP the floats themselves (``"float"``); NeaTS / DAC / LeCo and the
 general-purpose codecs consume the fixed-precision int64 values
 (``"int"``) — mirroring Section IV-A1 ("unless the compressor is designed
 for doubles").  Codecs without native random access go through the
-1000-value :class:`BlockStore` wrapper (Section IV-A2).
+1000-value :class:`BlockStore` wrapper (Section IV-A2); ALP is a
+``BlockStore`` over its own 1024-value vectors.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .baselines.alp import ALPCodec
+from .baselines.alp import ALP
 from .baselines.blockstore import BlockStore
 from .baselines.chimp import Chimp128Codec, ChimpCodec
-from .baselines.dac import DACCodec
+from .baselines.dac import DAC
 from .baselines.gorilla import GorillaCodec
 from .baselines.gp import GP_CODECS, GPCodec
-from .baselines.leco import LeCoCodec
+from .baselines.leco import LeCo
 from .baselines.tsxor import TSXorCodec
 from .core.neats import NeaTS
 from .tsdata import TimeSeries
 
-__all__ = ["ALL_LOSSLESS", "CODECS", "input_of", "Measurement", "measure"]
-
-
-@dataclass
-class Measurement:
-    name: str
-    dataset: str
-    ratio_pct: float
-    compress_mb_s: float
-    decompress_mb_s: float
-    random_access_mb_s: float
-    extra: dict = field(default_factory=dict)
+__all__ = ["ALL_LOSSLESS", "CODECS", "FIG4", "input_of", "measure"]
 
 
 #: Table III column order: 5 general-purpose + 8 special-purpose
@@ -65,12 +54,15 @@ CODECS = {
     **{name: _blockwise(GPCodec(name)) for name in GP_CODECS},
     **{c.name: _blockwise(c)
        for c in (GorillaCodec(), ChimpCodec(), Chimp128Codec(), TSXorCodec())},
-    "DAC": ("int", DACCodec().build),
-    "LeCo": ("int", LeCoCodec().compress),
-    "ALP": ("float", ALPCodec().compress),
+    "DAC": ("int", DAC.build),
+    "LeCo": ("int", LeCo),
+    "ALP": ("float", ALP),
     **{name: ("int", partial(NeaTS.compress, variant=name.lower()))
        for name in ("NeaTS", "LeaTS", "SNeaTS")},
 }
+
+#: Fig. 4 label -> codec table name: NeaTS runs as its SNeaTS variant
+FIG4 = {"NeaTS": "SNeaTS", "DAC": "DAC", "ALP": "ALP", "Lz4": "Lz4"}
 
 
 def input_of(ts: TimeSeries, domain: str) -> np.ndarray:
@@ -80,9 +72,10 @@ def input_of(ts: TimeSeries, domain: str) -> np.ndarray:
     return ts.floats if domain == "float" else ts.ints
 
 
-def measure(name: str, ts: TimeSeries, *, n_access: int = 2000) -> Measurement:
+def measure(name: str, ts: TimeSeries, *, n_access: int = 2000) -> dict:
     """Compress, decompress, random-access one dataset with one codec, and
-    check both answers against the input."""
+    check both answers against the input.  Returns the Table III row:
+    ``ratio`` in percent, ``comp``/``dec``/``ra`` in MB/s."""
     domain, build = CODECS[name]
     values = input_of(ts, domain)
     mb = ts.original_bytes / 1e6
@@ -107,11 +100,11 @@ def measure(name: str, ts: TimeSeries, *, n_access: int = 2000) -> Measurement:
         if art.access(int(k)) != values[k]:
             raise AssertionError(f"{name} random access wrong on {ts.name}@{k}")
 
-    return Measurement(
-        name=name,
-        dataset=ts.name,
-        ratio_pct=100.0 * art.size_bytes / ts.original_bytes,
-        compress_mb_s=mb / t_comp if t_comp > 0 else float("inf"),
-        decompress_mb_s=mb / t_dec if t_dec > 0 else float("inf"),
-        random_access_mb_s=(n_access * 8 / 1e6) / t_ra if t_ra > 0 else float("inf"),
-    )
+    return {
+        "dataset": ts.name,
+        "codec": name,
+        "ratio": 100.0 * art.size_bytes / ts.original_bytes,
+        "comp": mb / t_comp if t_comp > 0 else float("inf"),
+        "dec": mb / t_dec if t_dec > 0 else float("inf"),
+        "ra": (n_access * 8 / 1e6) / t_ra if t_ra > 0 else float("inf"),
+    }

@@ -30,7 +30,7 @@ from pyspark.sql.types import (
 from ..baselines.chimp import ChimpCodec
 from ..baselines.gorilla import GorillaCodec
 from ..baselines.gp import GP_CODECS, GPCodec
-from ..core.neats import NeaTS
+from ..core.neats import CorruptPayloadError, NeaTS
 
 __all__ = ["compress_to_blocks", "decompress_blocks", "random_access", "range_query", "BLOCK_SCHEMA"]
 
@@ -103,11 +103,19 @@ def _read(payload: bytes, codec: str, n: int, part) -> np.ndarray:
     """Positions ``part`` (a slice or an array of offsets) of one block of
     ``n`` values.  NeaTS payloads decode only those, by ``NeaTS.scan``
     (Section IV-C4) or Algorithm 3 (``NeaTS.access_many``); a stream
-    payload is decoded whole."""
+    payload is decoded whole.  A payload that holds other than the row's
+    ``n`` values raises :class:`CorruptPayloadError`."""
     stream = _stream(codec)
+    if stream is None:
+        view = NeaTS.from_bytes(payload)
+        count = view.n
+    else:
+        values = stream.decompress(bytes(payload), n)
+        count = len(values)
+    if count != n:
+        raise CorruptPayloadError(f"the row says {n} values, its {codec} payload holds {count}")
     if stream is not None:
-        return stream.decompress(bytes(payload), n).view(np.int64)[part]
-    view = NeaTS.from_bytes(payload)
+        return values.view(np.int64)[part]
     if isinstance(part, slice):
         return view.scan(part.start, part.stop)
     return view.access_many(part)

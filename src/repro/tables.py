@@ -83,12 +83,4 @@ def table2_run_dataset(name: str, n: int | None) -> list[dict]:
 def table3_run_dataset(name: str, n: int | None, n_access: int) -> list[dict]:
     """Run the full 13-codec battery on one dataset."""
     ts = load(name, n=n)
-    out = []
-    for codec in ALL_LOSSLESS:
-        m = measure(codec, ts, n_access=n_access)
-        out.append(
-            {"dataset": name, "codec": codec, "ratio": m.ratio_pct,
-             "comp": m.compress_mb_s, "dec": m.decompress_mb_s,
-             "ra": m.random_access_mb_s}
-        )
-    return out
+    return [measure(codec, ts, n_access=n_access) for codec in ALL_LOSSLESS]

@@ -161,7 +161,7 @@ def _bp(rng, n):  # bitcoin price: high volatility GBM
     return _gbm(rng, n, 30000.0, 0.0, 0.004)
 
 
-# name -> (generator, decimals, default bench n, paper size hint)
+# name -> (generator, decimals, default bench n)
 _SPECS = {
     "IT": (_it, 2, 32768),
     "US": (lambda r, n: _stock(r, n, 120.0, 0.0008), 2, 32768),

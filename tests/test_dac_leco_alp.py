@@ -3,9 +3,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.baselines.alp import ALP, ALPCodec
-from repro.baselines.dac import _WIDTHS, DAC, DACCodec, _size_bits, _zigzag
-from repro.baselines.leco import LeCo, LeCoCodec
+from repro.baselines.alp import ALP
+from repro.baselines.dac import _WIDTHS, DAC, _size_bits, _zigzag
+from repro.baselines.leco import LeCo
 from repro.tsdata import DATASETS, load
 from tests.succinct_reference import RankBitvector
 
@@ -14,7 +14,7 @@ class TestDAC:
     @pytest.mark.parametrize("name", DATASETS[:8])
     def test_dataset_roundtrip(self, name):
         ts = load(name, n=800)
-        d = DACCodec().build(ts.ints)
+        d = DAC.build(ts.ints)
         assert np.array_equal(d.decompress(), ts.ints)
 
     @given(st.lists(st.integers(-2**62, 2**62), min_size=1, max_size=150))
@@ -35,7 +35,7 @@ class TestDAC:
 
     def test_access_matches_decompress(self):
         ts = load("WD", n=600)
-        d = DACCodec().build(ts.ints)
+        d = DAC.build(ts.ints)
         full = d.decompress()
         rng = np.random.default_rng(0)
         for k in rng.integers(0, ts.n, 60):
@@ -43,12 +43,12 @@ class TestDAC:
 
     def test_scan(self):
         ts = load("CT", n=400)
-        d = DACCodec().build(ts.ints)
+        d = DAC.build(ts.ints)
         assert np.array_equal(d.scan(50, 150), ts.ints[50:150])
 
     def test_width_search_picks_smallest(self):
         arr = np.arange(1000, dtype=np.int64)
-        best = DACCodec().build(arr)
+        best = DAC.build(arr)
         for w in (2, 4, 8, 16):
             assert best.size_bits <= DAC(arr, w).size_bits
 
@@ -59,7 +59,7 @@ class TestDAC:
         ints = load(name, n=8192).ints
         built = [DAC(ints, w) for w in _WIDTHS]
         want = min(built, key=lambda d: d.size_bits)
-        got = DACCodec().build(ints)
+        got = DAC.build(ints)
         assert (got.width, got.size_bits) == (want.width, want.size_bits)
         assert [_size_bits(np.sort(_zigzag(ints)), w) for w in _WIDTHS] == [d.size_bits for d in built]
 
@@ -80,7 +80,7 @@ class TestLeCo:
     @pytest.mark.parametrize("name", DATASETS[:8])
     def test_dataset_roundtrip(self, name):
         ts = load(name, n=900)
-        lc = LeCoCodec().compress(ts.ints)
+        lc = LeCo(ts.ints)
         assert np.array_equal(lc.decompress(), ts.ints)
 
     @given(st.lists(st.integers(-10**12, 10**12), min_size=1, max_size=300))
@@ -114,7 +114,7 @@ class TestALP:
     @pytest.mark.parametrize("name", DATASETS)
     def test_dataset_roundtrip_exact(self, name):
         ts = load(name, n=1200)
-        al = ALPCodec().compress(ts.floats)
+        al = ALP(ts.floats)
         out = al.decompress()
         assert np.array_equal(out, ts.floats), "ALP must be bit-exact"
 
@@ -138,7 +138,7 @@ class TestALP:
         vals = rng.standard_normal(1500) * np.pi  # irrational-ish doubles
         al = ALP(vals)
         assert np.array_equal(al.decompress(), vals)
-        assert sum(len(v.exc_pos) for v in al.vectors) > 1000
+        assert sum(len(v.exc_pos) for v in al.payloads) > 1000
 
     def test_mixed_decimals_and_noise(self):
         rng = np.random.default_rng(4)

@@ -50,11 +50,11 @@ class TestMeasure:
     def test_measures_are_sane(self, name):
         ts = load("DP", n=1200)
         m = measure(name, ts, n_access=50)
-        assert 0 < m.ratio_pct < 120
-        assert m.compress_mb_s > 0
-        assert m.decompress_mb_s > 0
-        assert m.random_access_mb_s > 0
-        assert m.dataset == "DP"
+        assert 0 < m["ratio"] < 120
+        assert m["comp"] > 0
+        assert m["dec"] > 0
+        assert m["ra"] > 0
+        assert m["dataset"] == "DP"
 
     def test_verification_catches_corruption(self, monkeypatch):
         """measure() must detect a codec that is not lossless."""
@@ -73,6 +73,23 @@ class TestMeasure:
         monkeypatch.setitem(CODECS, "Broken", ("int", partial(BlockStore, Broken())))
         with pytest.raises(AssertionError, match="not lossless"):
             measure("Broken", ts, n_access=5)
+
+
+class TestOutOfRange:
+    @pytest.mark.parametrize("name", CODECS)
+    def test_reads_outside_the_series_raise(self, name):
+        """``access`` and ``scan`` refuse positions outside ``[0, n)``
+        rather than wrap around or read past the end."""
+        ts = load("IT", n=2048)
+        domain, build = CODECS[name]
+        art = build(input_of(ts, domain))
+        for k in (-1, ts.n):
+            with pytest.raises(IndexError):
+                art.access(k)
+        if hasattr(art, "scan"):
+            for lo, hi in ((-1, 1), (ts.n - 1, ts.n + 1)):
+                with pytest.raises(IndexError):
+                    art.scan(lo, hi)
 
 
 class TestFormatPins:

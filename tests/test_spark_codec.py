@@ -11,8 +11,10 @@ import numpy as np
 import pandas as pd
 import pytest
 from pyspark import TaskContext
+from pyspark.errors import PythonException
 from pyspark.sql import functions as F
 
+from repro.core.neats import CorruptPayloadError
 from repro.oracle import assert_equivalent
 from repro.sparkio import codec
 from repro.sparkio.codec import (
@@ -57,6 +59,30 @@ class TestEncodeBlock:
     def test_neats_payload_compresses(self, series):
         payload = encode_block(series.ints, "neats")
         assert len(payload) < 8 * series.n
+
+
+class TestForgedRowCount:
+    """A row's ``n`` and its payload's own count of values must agree."""
+
+    @pytest.mark.parametrize("codec", ["neats", "sneats", "xz", "gorilla", "chimp"])
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_count_mismatch_raises(self, codec, delta, series):
+        vals = series.ints[:800]
+        with pytest.raises(CorruptPayloadError, match="800"):
+            decode_block(encode_block(vals, codec), codec, len(vals) + delta)
+
+    def test_neats_header_n_past_its_row(self):
+        """A header ``n`` that no section bounds (the last fragment's
+        corrections are 0 bits wide) is caught against the row's ``n``."""
+        payload = bytearray(encode_block(np.full(1000, 7, dtype=np.int64), "neats"))
+        payload[4:12] = (2**40).to_bytes(8, "little")
+        with pytest.raises(CorruptPayloadError, match=str(2**40)):
+            decode_block(bytes(payload), "neats", 1000)
+
+    def test_spark_read_of_a_forged_row_fails(self, spark, neats_blocks):
+        forged = neats_blocks.withColumn("n", F.col("n") + 1)
+        with pytest.raises(PythonException, match="CorruptPayloadError"):
+            decompress_blocks(forged).collect()
 
 
 class TestBlocksPipeline:
