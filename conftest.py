@@ -59,10 +59,7 @@ def spark() -> SparkSession:
     as the jobs' (``repro.runner.get_spark``).
 
     Driver memory comes from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch).  ``get_spark`` disables broadcast joins, so the
-    random-access batch join in ``repro.sparkio`` exercises the shuffle
-    path even on the small test stores; a test that wants a broadcast join
-    sets the threshold back.
+    pre-JVM-launch).
     """
     s = get_spark("repro")
     # One line in test_output.txt that tells the driver whether the

@@ -50,7 +50,7 @@ def run(spark, *, dataset: str = "IT", n: int | None = None, block: int = 4096) 
         keys = rng.choice(ts.n, 64, replace=False)
         keys_df = spark.createDataFrame(pd.DataFrame({"idx": keys}))
         t0 = time.perf_counter()
-        pts = {r["idx"]: r["y"] for r in point_lookup(spark, path, keys_df, block_size=block).collect()}
+        pts = {r["idx"]: r["y"] for r in point_lookup(spark, path, keys_df).collect()}
         t_point = time.perf_counter() - t0
         assert all(pts[k] == ts.ints[k] for k in keys)
 

@@ -34,7 +34,7 @@ class BlockStore:
         return self.codec.decompress(self.payloads[b], min(self.block, self.n - b * self.block))
 
     def decompress(self) -> np.ndarray:
-        return np.concatenate([self._decode_block(b) for b in range(len(self.payloads))])
+        return self.scan(0, self.n)
 
     def access(self, k: int):
         """Random access: decompress the containing block."""

@@ -23,7 +23,6 @@ def get_spark(app: str = "repro-job") -> SparkSession:
         .config("spark.ui.enabled", "false")
         .config("spark.sql.shuffle.partitions", "64")
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()
     )
 

@@ -4,10 +4,10 @@ The repro target treats NeaTS as a page encoding for columnar storage:
 a time series DataFrame ``(idx, y)`` is split into fixed-size blocks (the
 "row groups"), each block is compressed *inside the executors* with
 ``applyInPandas``, and the result is a small DataFrame of binary payload
-rows that can be written to Parquet (see ``rowgroup_store``).  Random
-access and range scans decode only the touched values of the touched
-blocks, with NeaTS's in-block random access (Algorithm 3) and range scan
-(Section IV-C4).
+rows that can be written to Parquet (see ``rowgroup_store``).  Every read
+is one ``mapInPandas`` pass in which each block decodes only the queried
+positions it holds, with NeaTS's in-block random access (Algorithm 3) or
+range scan (Section IV-C4).
 
 Supported block codecs: ``neats`` / ``leats`` / ``sneats`` (NeaTS
 serialisation), the general-purpose codecs (``xz``/``zstd``/``lz4``/
@@ -164,37 +164,26 @@ _DECODED_SCHEMA = StructType([
 
 
 def decompress_blocks(blocks: DataFrame) -> DataFrame:
-    """Inverse of :func:`compress_to_blocks`: back to ``(idx, y)`` rows.
-    The executor trim of :func:`range_query` over every int64 position, with
-    no filter on the blocks."""
-    return _trim(blocks, 0, 1 << 63)
+    """Inverse of :func:`compress_to_blocks`: back to ``(idx, y)`` rows,
+    every position of every block."""
+    return _select(blocks, lambda start, n: slice(0, n))
 
 
-def random_access(blocks: DataFrame, keys: DataFrame, *, block_size: int) -> DataFrame:
-    """Batch random access: join the queried indexes to their blocks (a
-    shuffle join — broadcast stays disabled per the session config), then
-    per block one payload parse and one batched Algorithm 3 call
-    (``NeaTS.access_many``) instead of full block decoding."""
-    idx = F.col("idx").cast("long")
-    k = keys.select(idx.alias("idx"), (idx / F.lit(block_size)).cast("long").alias("block_id"))
-    joined = k.join(blocks, on="block_id", how="inner")
+def random_access(blocks: DataFrame, keys: DataFrame, *, block_size: int | None = None) -> DataFrame:
+    """Batch random access: one ``(idx, y)`` row per key of ``keys.idx`` that
+    a block holds (duplicates repeat, nulls match nothing).  The keys are
+    collected on the driver, so a batch is meant to be a few dozen keys; each
+    block answers those inside its own extent with one batched Algorithm 3
+    call (``NeaTS.access_many``): no join, no shuffle, no block size to know.
+    ``block_size`` is accepted and not read, for callers that still pass it."""
+    rows = keys.select(F.col("idx").cast("long").alias("idx")).dropna().collect()
+    ks = np.sort(np.array([r[0] for r in rows], dtype=np.int64))
 
-    def _pick(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in batches:
-            if pdf.empty:
-                continue
-            all_keys = pdf["idx"].to_numpy(dtype=np.int64)
-            idxs, ys = [], []
-            for rows in pdf.groupby("block_id", sort=False).indices.values():
-                first = rows[0]
-                keys_in_block = all_keys[rows]
-                offsets = keys_in_block - int(pdf["start_idx"].iat[first])
-                ys.append(_read(pdf["payload"].iat[first], pdf["codec"].iat[first],
-                                int(pdf["n"].iat[first]), offsets))
-                idxs.append(keys_in_block)
-            yield pd.DataFrame({"idx": np.concatenate(idxs), "y": np.concatenate(ys)})
+    def pick(start: int, n: int):
+        a, b = np.searchsorted(ks, [start, start + n])
+        return ks[a:b] - start if a < b else None
 
-    return joined.mapInPandas(_pick, schema=_DECODED_SCHEMA)
+    return _select(blocks, pick)
 
 
 def range_query(blocks: DataFrame, lo: int, hi: int) -> DataFrame:
@@ -216,24 +205,29 @@ def range_query(blocks: DataFrame, lo: int, hi: int) -> DataFrame:
     bound = 1 << max(hi - 1, 0).bit_length()
     if bound < 1 << 63:
         blocks = blocks.filter(F.col("start_idx") < F.lit(bound))
-    return _trim(blocks, lo, hi)
+
+    def pick(start: int, n: int):
+        a, b = max(lo - start, 0), min(hi - start, n)
+        return slice(a, b) if a < b else None
+
+    return _select(blocks, pick)
 
 
-def _trim(blocks: DataFrame, lo: int, hi: int) -> DataFrame:
-    """The ``(idx, y)`` rows of positions ``[lo, hi)``, selected and
-    decoded in the executor."""
+def _select(blocks: DataFrame, pick) -> DataFrame:
+    """The one executor read: per block row, ``pick(start, n)`` gives the
+    offsets to decode (a slice, an array of offsets, or ``None`` for none),
+    which the block yields as ``(idx, y)`` rows."""
 
-    def trim(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+    def select(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         for pdf in batches:
             idxs, ys = [], []
             for start, n, codec, payload in zip(pdf["start_idx"].tolist(), pdf["n"].tolist(),
                                                  pdf["codec"], pdf["payload"]):
-                a, b = max(lo - start, 0), min(hi - start, n)
-                if a >= b:
-                    continue
-                ys.append(_read(payload, codec, n, slice(a, b)))
-                idxs.append(np.arange(start + a, start + b, dtype=np.int64))
+                part = pick(start, n)
+                if part is not None:
+                    ys.append(_read(payload, codec, n, part))
+                    idxs.append(np.arange(start, start + n, dtype=np.int64)[part])
             if idxs:
                 yield pd.DataFrame({"idx": np.concatenate(idxs), "y": np.concatenate(ys)})
 
-    return blocks.mapInPandas(trim, schema=_DECODED_SCHEMA)
+    return blocks.mapInPandas(select, schema=_DECODED_SCHEMA)

@@ -4,7 +4,7 @@ Writes the block DataFrame produced by ``codec.compress_to_blocks`` to
 Parquet (one NeaTS payload per row, with ``start_idx``/``n`` metadata
 columns whose row-group statistics the reader can use), and reads it back
 for range scans (a pushed bound on ``start_idx``, then in-block
-``NeaTS.scan``) and point lookups (NeaTS in-block random access).  A JVM
+``NeaTS.scan``) and point lookups (in-block random access, no join).  A JVM
 DataSourceV2 file format is out of scope in this container (see DESIGN.md
 §6); this store keeps the access pattern the paper's evaluation
 exercises: per-page decode of the touched pages + random access.
@@ -42,9 +42,9 @@ def scan_range(spark: SparkSession, path: str, lo: int, hi: int) -> DataFrame:
     return _codec.range_query(read_blocks(spark, path), lo, hi)
 
 
-def point_lookup(spark: SparkSession, path: str, keys: DataFrame, *, block_size: int) -> DataFrame:
-    blocks = read_blocks(spark, path)
-    return _codec.random_access(blocks, keys, block_size=block_size)
+def point_lookup(spark: SparkSession, path: str, keys: DataFrame, *, block_size: int | None = None) -> DataFrame:
+    """``codec.random_access`` over the store; ``block_size`` is not read."""
+    return _codec.random_access(read_blocks(spark, path), keys)
 
 
 def store_size_bytes(blocks: DataFrame) -> int:

@@ -7,6 +7,7 @@ import pytest
 
 from repro.baselines.blockstore import BlockStore
 from repro.baselines.chimp import Chimp128Codec, ChimpCodec
+from repro.baselines.gp import GP_CODECS
 from repro.harness import ALL_LOSSLESS, CODECS, input_of, measure
 from repro.tsdata import load
 
@@ -90,6 +91,20 @@ class TestOutOfRange:
             for lo, hi in ((-1, 1), (ts.n - 1, ts.n + 1)):
                 with pytest.raises(IndexError):
                     art.scan(lo, hi)
+
+
+class TestEmptySeries:
+    #: the codecs that ``BlockStore`` reads: the nine stream codecs and ALP
+    BLOCKWISE = [*GP_CODECS, "Gorilla", "Chimp", "Chimp128", "TSXor", "ALP"]
+
+    @pytest.mark.parametrize("name", BLOCKWISE)
+    def test_blockwise_roundtrips_empty(self, name):
+        domain, build = CODECS[name]
+        values = np.empty(0, dtype={"int": np.int64, "float": np.float64, "bits": np.uint64}[domain])
+        art = build(values)
+        assert isinstance(art, BlockStore)
+        out = art.decompress()
+        assert out.dtype == values.dtype and len(out) == 0
 
 
 class TestFormatPins:

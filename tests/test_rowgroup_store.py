@@ -64,7 +64,7 @@ class TestStore:
     def test_point_lookup_oracle(self, spark, store_path, series):
         keys = [0, 511, 512, 1024, 2499]
         keys_df = spark.createDataFrame(pd.DataFrame({"idx": keys}))
-        got = point_lookup(spark, store_path, keys_df, block_size=BLOCK)
+        got = point_lookup(spark, store_path, keys_df)
         pdf = pd.DataFrame({"idx": np.arange(N), "y": series.ints})
         assert_equivalent(
             got,

@@ -21,7 +21,7 @@ from repro.sparkio.codec import (
     compress_to_blocks, decode_block, decompress_blocks, encode_block,
     random_access, range_query,
 )
-from repro.sparkio.rowgroup_store import point_lookup, scan_range, write_store
+from repro.sparkio.rowgroup_store import point_lookup, read_blocks, scan_range, write_store
 from repro.tsdata import load
 
 N = 3000
@@ -160,7 +160,7 @@ class TestBlocksPipeline:
         rng = np.random.default_rng(0)
         keys = rng.choice(N, 40, replace=False)
         keys_df = spark.createDataFrame(pd.DataFrame({"idx": keys}))
-        got = random_access(neats_blocks, keys_df, block_size=BLOCK)
+        got = random_access(neats_blocks, keys_df)
         pdf = pd.DataFrame({"idx": np.arange(N), "y": series.ints})
         assert_equivalent(
             got,
@@ -197,8 +197,9 @@ class TestBlocksPipeline:
 class TestRangeTrim:
     """``range_query`` and ``scan_range`` select and trim ``[lo, hi)`` in the
     executor, for NeaTS payloads (``NeaTS.scan``) and other codecs alike;
-    ``decompress_blocks`` is the same trim over every position, and
-    ``random_access``/``point_lookup`` read blocks through the same helper."""
+    ``decompress_blocks`` is the same read over every position, and
+    ``random_access``/``point_lookup`` the same read of the keys inside each
+    block's extent."""
 
     RANGES = [
         (511, 513),  # crosses a block edge
@@ -237,8 +238,47 @@ class TestRangeTrim:
         keys_df = spark.createDataFrame(pd.DataFrame({"idx": keys}))
         pdf = pd.DataFrame({"idx": np.arange(N), "y": series.ints})
         sql = f"SELECT idx, y FROM original WHERE idx IN ({','.join(map(str, keys))})"
-        assert_equivalent(random_access(blocks, keys_df, block_size=BLOCK), sql, original=pdf)
-        assert_equivalent(point_lookup(spark, path, keys_df, block_size=BLOCK), sql, original=pdf)
+        assert_equivalent(random_access(blocks, keys_df), sql, original=pdf)
+        assert_equivalent(point_lookup(spark, path, keys_df), sql, original=pdf)
+
+    def assert_lookup(self, spark, coded, series, keys, **kw):
+        """``random_access`` and ``point_lookup`` of ``keys`` (``None`` for a
+        null key) return the rows of the oracle's join of the keys to the
+        series: one row per key that the series holds."""
+        blocks, path = coded
+        keys_df = spark.createDataFrame([(k,) for k in keys], "idx long")
+        tables = {"original": pd.DataFrame({"idx": np.arange(N), "y": series.ints}),
+                  "keys": pd.DataFrame({"idx": pd.array(keys, dtype="Int64")})}
+        sql = "SELECT o.idx, o.y FROM original o JOIN keys k ON o.idx = k.idx"
+        assert_equivalent(random_access(blocks, keys_df, **kw), sql, **tables)
+        assert_equivalent(point_lookup(spark, path, keys_df, **kw), sql, **tables)
+
+    def test_lookup_ignores_block_size(self, spark, coded, series):
+        """A block answers the keys inside its own extent, so a block size
+        other than the store's misroutes nothing."""
+        self.assert_lookup(spark, coded, series, [0, 255, 256, 300, 511, 512, 1023, 1024, N - 1],
+                           block_size=BLOCK // 2)
+
+    KEY_SETS = {
+        "duplicates": [7, 7, 512, 1500, 1500, 1500, 511, N - 1, N - 1],  # one row per key
+        "outside": [-1, -BLOCK, N, N + 1, 2**62, None, 0, N - 1],  # match nothing
+        "empty": [],
+    }
+
+    @pytest.mark.parametrize("keys", KEY_SETS.values(), ids=KEY_SETS)
+    def test_lookup_key_sets(self, spark, coded, series, keys):
+        self.assert_lookup(spark, coded, series, keys)
+
+    def test_lookup_plan_has_no_join(self, spark, coded):
+        """A lookup is a scan of the blocks and one ``mapInPandas``: no join
+        of the keys to the blocks, and no shuffle."""
+        _, path = coded
+        keys_df = spark.createDataFrame([(5,), (1000,)], "idx long")
+        for got in (random_access(read_blocks(spark, path), keys_df), point_lookup(spark, path, keys_df)):
+            plan = got._jdf.queryExecution().executedPlan().toString()
+            assert "MapInPandas" in plan
+            assert "Join" not in plan and "Exchange" not in plan, plan
+            assert sorted(r["idx"] for r in got.collect()) == [5, 1000]
 
 
 class TestLazyZipInvalidate:
