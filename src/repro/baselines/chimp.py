@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.bitstream import BitReader, BitWriter
+from ..core.bitstream import BitReader, pack_bits
 from .gorilla import _clz64, _ctz64
 
 __all__ = ["ChimpCodec", "Chimp128Codec"]
@@ -44,13 +44,12 @@ class Chimp128Codec:
 
     def compress(self, values: np.ndarray) -> bytes:
         vals = np.asarray(values, dtype=np.uint64)
-        w = BitWriter()
         n = len(vals)
         if n == 0:
             return b""
         idx_bits = (self.window - 1).bit_length()
-        ints = [int(v) for v in vals]
-        w.write(ints[0], 64)
+        ints = vals.tolist()
+        fields, widths = [ints[0]], [64]
         lead_prev = -1
         for i in range(1, n):
             v = ints[i]
@@ -64,18 +63,15 @@ class Chimp128Codec:
                     best_j, best_tz, best_xor = j, tz, x
             idx = i - 1 - best_j  # 0 == immediately previous
             if best_xor == 0:
-                w.write(0b00, 2)
-                w.write(idx, idx_bits)
+                fields += [0b00, idx]
+                widths += [2, idx_bits]
                 lead_prev = 65  # sentinel: next '10' cannot match
             elif best_tz > 6:
-                w.write(0b10, 2)  # flag '01' in paper order; LSB-first here
-                w.write(idx, idx_bits)
                 code = _lead_code(_clz64(best_xor))
-                lead = _ROUND[code]
-                w.write(code, 3)
-                centre = 64 - lead - best_tz
-                w.write(centre, 6)
-                w.write(best_xor >> best_tz, centre)
+                centre = 64 - _ROUND[code] - best_tz
+                # flag '01' in paper order; LSB-first here
+                fields += [0b10, idx, code, centre, best_xor >> best_tz]
+                widths += [2, idx_bits, 3, 6, centre]
                 lead_prev = 65
             else:
                 # the Chimp path against the previous value
@@ -83,14 +79,14 @@ class Chimp128Codec:
                 code = _lead_code(_clz64(xor))
                 lead = _ROUND[code]
                 if lead == lead_prev:
-                    w.write(0b01, 2)
-                    w.write(xor, 64 - lead)
+                    fields += [0b01, xor]
+                    widths += [2, 64 - lead]
                 else:
-                    w.write(0b11, 2)
-                    w.write(code, 3)
-                    w.write(xor, 64 - lead)
+                    fields += [0b11, code, xor]
+                    widths += [2, 3, 64 - lead]
                     lead_prev = lead
-        return n.to_bytes(8, "little") + w.nbits.to_bytes(8, "little") + w.to_array().tobytes()
+        words = pack_bits(np.array(fields, dtype=np.uint64), widths)
+        return n.to_bytes(8, "little") + sum(widths).to_bytes(8, "little") + words.tobytes()
 
     def decompress(self, blob: bytes, n_values: int) -> np.ndarray:
         if not blob:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.bitstream import BitReader, BitWriter
+from ..core.bitstream import BitReader, pack_bits
 
 __all__ = ["GorillaCodec"]
 
@@ -38,32 +38,31 @@ class GorillaCodec:
 
     def compress(self, values: np.ndarray) -> bytes:
         vals = np.asarray(values, dtype=np.uint64)
-        w = BitWriter()
         if len(vals) == 0:
             return b""
         prev = int(vals[0])
-        w.write(prev, 64)
+        fields, widths = [prev], [64]
         lead_prev, tlen_prev = -1, -1
-        for v in vals[1:]:
-            v = int(v)
-            xor = (v ^ prev) & _MASK64
+        for v in vals[1:].tolist():
+            xor = v ^ prev
             if xor == 0:
-                w.write(0, 1)
+                fields.append(0)
+                widths.append(1)
             else:
                 lead = min(_clz64(xor), 31)
                 trail = _ctz64(xor)
                 if lead_prev >= 0 and lead >= lead_prev and trail >= 64 - lead_prev - tlen_prev:
-                    w.write(0b01, 2)  # '10' control (LSB-first storage)
-                    w.write(xor >> (64 - lead_prev - tlen_prev), tlen_prev)
+                    # '10' control (LSB-first storage)
+                    fields += [0b01, xor >> (64 - lead_prev - tlen_prev)]
+                    widths += [2, tlen_prev]
                 else:
                     tlen = 64 - lead - trail
-                    w.write(0b11, 2)
-                    w.write(lead, 5)
-                    w.write(tlen - 1, 6)
-                    w.write(xor >> trail, tlen)
+                    fields += [0b11, lead, tlen - 1, xor >> trail]
+                    widths += [2, 5, 6, tlen]
                     lead_prev, tlen_prev = lead, tlen
             prev = v
-        return len(vals).to_bytes(8, "little") + w.nbits.to_bytes(8, "little") + w.to_array().tobytes()
+        words = pack_bits(np.array(fields, dtype=np.uint64), widths)
+        return len(vals).to_bytes(8, "little") + sum(widths).to_bytes(8, "little") + words.tobytes()
 
     def decompress(self, blob: bytes, n_values: int) -> np.ndarray:
         if not blob:

@@ -1,23 +1,23 @@
 """Bit-level substrate: one vectorised packer and reader of bit fields,
-and a bit writer/reader for variable-width streams.
+and a scalar reader for variable-width streams.
 
-``pack_bits`` writes any sequence of fields of widths 0..63 in one pass;
+``pack_bits`` writes any sequence of fields of widths 0..64 in one pass;
 ``read_packed`` reads fixed-width fields back at any indexes.  The
 fixed-width baselines (DAC levels, LeCo residuals, ALP digits) use only
-these two.  ``BitWriter``/``BitReader`` serve the XOR streams (Gorilla,
-Chimp, Chimp128), whose field widths depend on the values already
-decoded.  NeaTS packs its payload in C (``neats_encode`` and the decoder
-in ``neats.c``) and takes only ``bits_for_signed`` from here, for
-Algorithm 1's correction widths.  Words are stored little-endian-in-bits
-inside a ``numpy`` ``uint64`` buffer: bit ``i`` of the stream is bit
-``i % 64`` of word ``i // 64``.
+these two.  The XOR streams (Gorilla, Chimp, Chimp128) are written by
+``pack_bits`` too and read by ``BitReader``, because the width of each
+field depends on the values already decoded.  NeaTS packs its payload in
+C (``neats_encode`` and the decoder in ``neats.c``) and takes only
+``bits_for_signed`` from here, for Algorithm 1's correction widths.
+Words are stored little-endian-in-bits inside a ``numpy`` ``uint64``
+buffer: bit ``i`` of the stream is bit ``i % 64`` of word ``i // 64``.
 """
 from __future__ import annotations
 
 import numpy as np
 
 __all__ = [
-    "BitWriter", "BitReader", "bits_for", "bits_for_signed",
+    "BitReader", "bits_for", "bits_for_signed",
     "read_packed", "signed_width", "pad_words", "pack_bits",
 ]
 
@@ -58,13 +58,13 @@ def signed_width(values) -> int:
 
 
 def pack_bits(values: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    """Vectorised :class:`BitWriter`: the words of the stream that writes
-    each ``values[i]`` (non-negative, below ``2**widths[i]``) in
-    ``widths[i]`` bits (0..63), one after another."""
+    """The words of the stream that writes each ``values[i]``
+    (non-negative, below ``2**widths[i]``) in ``widths[i]`` bits (0..64),
+    one after another, LSB first."""
     vals = np.asarray(values).astype(np.uint64)
     widths = np.asarray(widths, dtype=np.int64)
-    if widths.size and not 0 <= widths.min() <= widths.max() <= 63:
-        raise ValueError("pack_bits supports widths 0..63")
+    if widths.size and not 0 <= widths.min() <= widths.max() <= 64:
+        raise ValueError("pack_bits supports widths 0..64")
     pos = np.cumsum(widths) - widths
     nwords = max(1, (int(widths.sum()) + 63) // 64)
     # two spare words: a zero-width field at the end of a stream that fills
@@ -73,8 +73,8 @@ def pack_bits(values: np.ndarray, widths: np.ndarray) -> np.ndarray:
     idx = pos >> 6
     sh = (pos & 63).astype(np.uint64)
     np.bitwise_or.at(words, idx, vals << sh)
-    # the high bits that cross into the next word; (v >> 1) >> 63 is 0
-    # where v >> 64 would not be
+    # the high bits that cross into the next word; (v >> 1) >> (63 - sh)
+    # is v >> (64 - sh), and 0 where sh == 0, as numpy's v >> 64 would not be
     np.bitwise_or.at(words, idx + 1, (vals >> np.uint64(1)) >> (np.uint64(63) - sh))
     return words[:nwords]
 
@@ -107,45 +107,9 @@ def read_packed(words: np.ndarray, width: int, idx, *, start_bit: int = 0,
     return (lo | hi) & np.uint64((1 << width) - 1)
 
 
-class BitWriter:
-    """Append-only bit stream writer."""
-
-    def __init__(self) -> None:
-        self._words: list[int] = [0]
-        self._nbits = 0
-
-    def __len__(self) -> int:
-        return self._nbits
-
-    def write(self, value: int, nbits: int) -> None:
-        """Append the ``nbits`` low bits of ``value`` (LSB first)."""
-        if nbits < 0 or (nbits == 0 and value != 0):
-            raise ValueError(f"cannot write value {value} in {nbits} bits")
-        value &= (1 << nbits) - 1 if nbits else 0
-        while nbits > 0:
-            pos = self._nbits & 63
-            take = min(nbits, 64 - pos)
-            self._words[-1] |= (value & ((1 << take) - 1)) << pos
-            value >>= take
-            nbits -= take
-            self._nbits += take
-            if (self._nbits & 63) == 0:
-                self._words.append(0)
-
-    def to_array(self) -> np.ndarray:
-        n_words = (self._nbits + 63) // 64
-        arr = np.zeros(max(1, n_words), dtype=np.uint64)
-        for i in range(n_words):
-            arr[i] = self._words[i] & ((1 << 64) - 1)
-        return arr
-
-    @property
-    def nbits(self) -> int:
-        return self._nbits
-
-
 class BitReader:
-    """Random-access reader over a ``uint64`` word array produced by BitWriter."""
+    """Random-access reader over a ``uint64`` word array written by
+    :func:`pack_bits`."""
 
     def __init__(self, words: np.ndarray, nbits: int) -> None:
         self._words = np.ascontiguousarray(words, dtype=np.uint64)

@@ -187,24 +187,12 @@ def random_access(blocks: DataFrame, keys: DataFrame, *, block_size: int | None 
 
 
 def range_query(blocks: DataFrame, lo: int, hi: int) -> DataFrame:
-    """Range scan ``[lo, hi)``: decode only ``[lo, hi)`` of the blocks that
-    overlap it.
-
-    The plan depends on the range only through ``bound``, the smallest power
-    of two at or above ``hi``: one filter ``start_idx < bound`` sits on the
-    block relation, so over a Parquet store (``rowgroup_store.scan_range``)
-    it is pushed to the reader, which skips the row groups that start at or
-    after ``bound`` (< 2 * hi).  Spark inlines literals into its generated
-    code, so a filter on ``lo`` and ``hi`` themselves compiled new classes
-    for every new range; at most 64 values of ``bound`` exist (the last, past
-    int64, drops the filter), and Spark's code cache keeps them all.  The
-    exact selection is made in the executor: a block starting at ``start``
-    with ``n`` values yields its positions ``[max(lo - start, 0),
-    min(hi - start, n))``, through ``NeaTS.scan`` for NeaTS payloads."""
+    """Range scan ``[lo, hi)``: a block starting at ``start`` with ``n``
+    values yields its positions ``[max(lo - start, 0), min(hi - start,
+    n))``, through ``NeaTS.scan`` (Section IV-C4) for NeaTS payloads.  The
+    selection runs only in the executor: no Spark filter carries ``lo`` or
+    ``hi``, so a new range compiles no new code (DESIGN.md §6)."""
     lo, hi = int(lo), int(hi)
-    bound = 1 << max(hi - 1, 0).bit_length()
-    if bound < 1 << 63:
-        blocks = blocks.filter(F.col("start_idx") < F.lit(bound))
 
     def pick(start: int, n: int):
         a, b = max(lo - start, 0), min(hi - start, n)

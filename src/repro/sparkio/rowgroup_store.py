@@ -1,13 +1,13 @@
 """Parquet-backed compressed row-group store.
 
 Writes the block DataFrame produced by ``codec.compress_to_blocks`` to
-Parquet (one NeaTS payload per row, with ``start_idx``/``n`` metadata
-columns whose row-group statistics the reader can use), and reads it back
-for range scans (a pushed bound on ``start_idx``, then in-block
-``NeaTS.scan``) and point lookups (in-block random access, no join).  A JVM
-DataSourceV2 file format is out of scope in this container (see DESIGN.md
-§6); this store keeps the access pattern the paper's evaluation
-exercises: per-page decode of the touched pages + random access.
+Parquet (one NeaTS payload per row, with its ``start_idx``/``n``
+metadata), and reads it back for range scans (in-block ``NeaTS.scan``)
+and point lookups (in-block random access, no join), each one scan of
+the store and one ``mapInPandas``.  A JVM DataSourceV2 file format is out
+of scope (see DESIGN.md §6); this store keeps the access pattern the
+paper's evaluation exercises: per-page decode of the touched pages +
+random access.
 """
 from __future__ import annotations
 
@@ -31,14 +31,8 @@ def read_blocks(spark: SparkSession, path: str) -> DataFrame:
 
 
 def scan_range(spark: SparkSession, path: str, lo: int, hi: int) -> DataFrame:
-    """Range query ``[lo, hi)`` over the store.  ``range_query``'s one
-    filter, ``start_idx < bound`` with ``bound`` the smallest power of two
-    at or above ``hi``, sits directly on the file relation, so Spark pushes
-    it to the Parquet reader, which skips the row groups whose smallest
-    ``start_idx`` is at or past ``bound``; the executor trims the blocks it
-    reads to ``[lo, hi)``.  How much the bound prunes depends on how the
-    store was written: ``compress_to_blocks`` hash-partitions its blocks,
-    so a row group of its output spans most of the index range."""
+    """``codec.range_query`` over the store: every row group is read and
+    each block selects its part of ``[lo, hi)`` in the executor."""
     return _codec.range_query(read_blocks(spark, path), lo, hi)
 
 

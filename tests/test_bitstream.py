@@ -1,12 +1,40 @@
-"""Bit substrate: writer/reader, fixed-width packed arrays, vectorised reads."""
+"""Bit substrate: packer/reader, fixed-width packed arrays, vectorised reads."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.bitstream import (
-    BitReader, BitWriter, bits_for, bits_for_signed,
+    BitReader, bits_for, bits_for_signed,
     pack_bits, pad_words, read_packed, signed_width,
 )
+
+
+class BitWriter:
+    """Append-only scalar bit writer: the reference that ``pack_bits`` is
+    checked against, one field at a time with Python ints."""
+
+    def __init__(self) -> None:
+        self._words: list[int] = [0]
+        self.nbits = 0
+
+    def write(self, value: int, nbits: int) -> None:
+        """Append the ``nbits`` low bits of ``value`` (LSB first)."""
+        if nbits < 0 or (nbits == 0 and value != 0):
+            raise ValueError(f"cannot write value {value} in {nbits} bits")
+        value &= (1 << nbits) - 1 if nbits else 0
+        while nbits > 0:
+            pos = self.nbits & 63
+            take = min(nbits, 64 - pos)
+            self._words[-1] |= (value & ((1 << take) - 1)) << pos
+            value >>= take
+            nbits -= take
+            self.nbits += take
+            if (self.nbits & 63) == 0:
+                self._words.append(0)
+
+    def to_array(self) -> np.ndarray:
+        n_words = (self.nbits + 63) // 64
+        return np.array(self._words[:max(1, n_words)], dtype=np.uint64)
 
 
 class TestBitsFor:
@@ -61,7 +89,7 @@ class TestWriterReader:
             assert r.read(pos, nbits) == v
             pos += nbits
 
-    @given(st.lists(st.tuples(st.integers(0, 63), st.data()), min_size=1, max_size=80))
+    @given(st.lists(st.tuples(st.integers(0, 64), st.data()), min_size=1, max_size=80))
     @settings(max_examples=60, deadline=None)
     def test_pack_bits_matches_writer(self, specs):
         w = BitWriter()
@@ -74,7 +102,7 @@ class TestWriterReader:
         words = pack_bits(np.asarray(vals, dtype=np.uint64), np.asarray(widths))
         assert np.array_equal(words, w.to_array())
 
-    @given(st.lists(st.tuples(st.sampled_from([0, 0, 1, 7, 32, 63]), st.data()), min_size=1, max_size=40),
+    @given(st.lists(st.tuples(st.sampled_from([0, 0, 1, 7, 32, 63, 64]), st.data()), min_size=1, max_size=40),
            st.booleans())
     @settings(max_examples=150, deadline=None)
     def test_pack_bits_matches_writer_and_reader(self, specs, whole_words):
@@ -158,9 +186,18 @@ class TestPackedArray:
         words = pack_bits([0, 7], [3, 3])
         assert words.tolist() == [7 << 3]
 
-    def test_width_64_rejected(self):
+    def test_width_64_roundtrip(self):
+        """64-bit fields, as the XOR codecs write them, at every offset in
+        a word: a field that starts mid-word spills its top bits."""
+        vals = [2**64 - 1, 2**63 + 1, 0, 1, 0xDEADBEEFCAFEF00D]
+        for lead in range(64):
+            widths = [lead] + [64] * len(vals)
+            words = pack_bits(np.asarray([0] + vals, dtype=np.uint64), widths)
+            assert len(words) == (sum(widths) + 63) // 64
+            r = BitReader(words, sum(widths))
+            assert [r.read(lead + 64 * i, 64) for i in range(len(vals))] == vals
         with pytest.raises(ValueError):
-            pack_bits([0], [64])
+            pack_bits([0], [65])
 
 
 class TestReadPacked:

@@ -1,4 +1,4 @@
-"""Parquet-backed row-group store: persistence, pruning, point lookups."""
+"""Parquet-backed row-group store: persistence, range scans, point lookups."""
 import numpy as np
 import pandas as pd
 import pytest
