@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.bitstream import BitReader, pack_bits
-from .gorilla import _clz64, _ctz64
+from .gorilla import _clz64
 
 __all__ = ["ChimpCodec", "Chimp128Codec"]
 
@@ -36,6 +36,29 @@ def _lead_code(lead: int) -> int:
     return code
 
 
+def _trailing_zeros(x: np.ndarray) -> np.ndarray:
+    """Trailing zero bits of each uint64, 64 for 0 (``gorilla._ctz64``)."""
+    low = (x & (~x + np.uint64(1))).astype(np.float64)  # the lowest set bit, exactly
+    return np.where(x == 0, 64, np.frexp(low)[1] - 1)
+
+
+def _references(vals: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each value's reference among the ``window`` before it: the one whose
+    XOR has the most trailing zeros, the earliest on a tie.  Returns the
+    offsets ``d`` (value ``i`` refers to ``i - d``), the XORs and their
+    trailing zeros; entry 0 has none and keeps ``d = 1``."""
+    n = len(vals)
+    offsets = np.ones(n, dtype=np.int64)
+    tzs = np.full(n, -1, dtype=np.int64)
+    for d in range(min(window, n - 1), 0, -1):  # far to near: strict > keeps the earliest
+        tz = _trailing_zeros(vals[d:] ^ vals[:-d])
+        better = tz > tzs[d:]
+        tzs[d:][better] = tz[better]
+        offsets[d:][better] = d
+    xors = vals ^ vals[np.arange(n) - offsets]
+    return offsets, xors, tzs
+
+
 class Chimp128Codec:
     name = "Chimp128"
     domain = "bits"
@@ -49,19 +72,13 @@ class Chimp128Codec:
             return b""
         idx_bits = (self.window - 1).bit_length()
         ints = vals.tolist()
+        offsets, xors, tzs = (a.tolist() for a in _references(vals, self.window))
         fields, widths = [ints[0]], [64]
         lead_prev = -1
         for i in range(1, n):
             v = ints[i]
-            lo = max(0, i - self.window)
-            # reference with most trailing zeros in the XOR
-            best_j, best_tz, best_xor = i - 1, -1, 0
-            for j in range(lo, i):
-                x = v ^ ints[j]
-                tz = _ctz64(x)
-                if tz > best_tz:
-                    best_j, best_tz, best_xor = j, tz, x
-            idx = i - 1 - best_j  # 0 == immediately previous
+            best_tz, best_xor = tzs[i], xors[i]
+            idx = offsets[i] - 1  # 0 == immediately previous
             if best_xor == 0:
                 fields += [0b00, idx]
                 widths += [2, idx_bits]

@@ -16,27 +16,44 @@ import pyarrow as pa
 __all__ = ["GPCodec", "GP_CODECS"]
 
 
+def _snappy_length(blob: bytes) -> int:
+    """The uncompressed length that opens a raw Snappy block (a varint)."""
+    size = 0
+    for shift, byte in zip(range(0, 35, 7), blob):
+        size |= (byte & 0x7F) << shift
+        if byte < 0x80:
+            return size
+    raise ValueError("Snappy payload without a length preamble")
+
+
 class GPCodec:
     domain = "int"  # consumes int64 values
 
     def __init__(self, name: str):
         self.name = name
-        if name == "Xz":
-            self._c = lambda b: lzma.compress(b, preset=6)
-            self._d = lambda b, n: lzma.decompress(b)
-        else:
-            codec = {"Brotli": "brotli", "Zstd": "zstd", "Lz4": "lz4", "Snappy": "snappy"}[name]
-            self._codec = pa.Codec(codec)
-            self._c = lambda b: self._codec.compress(b, asbytes=True)
-            self._d = lambda b, n: self._codec.decompress(b, decompressed_size=n, asbytes=True)
+        self._codec = None if name == "Xz" else pa.Codec(
+            {"Brotli": "brotli", "Zstd": "zstd", "Lz4": "lz4", "Snappy": "snappy"}[name])
 
     def compress(self, values: np.ndarray) -> bytes:
-        return self._c(np.ascontiguousarray(values).tobytes())
+        raw = np.ascontiguousarray(values).tobytes()
+        if self._codec is None:
+            return lzma.compress(raw, preset=6)
+        return self._codec.compress(raw, asbytes=True)
 
     def decompress(self, blob: bytes, n_values: int) -> np.ndarray:
-        """The values of ``blob``: Xz decodes as many as the stream holds,
-        the pyarrow codecs fill ``n_values`` of them."""
-        return np.frombuffer(self._d(blob, n_values * 8), dtype=np.int64)
+        """The values that ``blob`` holds.  Xz, Brotli and Lz4 decode their
+        whole stream, however many values that is; Zstd and Snappy decode
+        into ``n_values`` values and raise if the payload holds another
+        count (Zstd's own check, Snappy's length preamble)."""
+        if self._codec is None:
+            raw = lzma.decompress(blob)
+        elif self.name in ("Brotli", "Lz4"):
+            raw = pa.CompressedInputStream(pa.BufferReader(blob), self._codec.name).read()
+        else:
+            if self.name == "Snappy" and (size := _snappy_length(blob)) != 8 * n_values:
+                raise ValueError(f"the Snappy payload holds {size} bytes, not {8 * n_values}")
+            raw = self._codec.decompress(blob, decompressed_size=8 * n_values, asbytes=True)
+        return np.frombuffer(raw, dtype=np.int64)
 
 
 GP_CODECS = ["Xz", "Brotli", "Zstd", "Lz4", "Snappy"]

@@ -1,4 +1,5 @@
-/* Algorithm 1 with the Theorem 1 fitter, in one pass of C.
+/* Algorithm 1 with the Theorem 1 fitter, in C: the pairs' fragments are
+ * fitted in threads, then one serial sweep finds the shortest path.
  *
  * A port of the Python reference sweep (tests/partition_reference.py)
  * together with the parts of repro.core.models (Table I transforms,
@@ -15,7 +16,11 @@
  * Parameters are returned as the solver's (m, b); the caller maps them
  * through Family.params_from_mb, as the reference does.
  */
+#define _GNU_SOURCE /* sched_getaffinity, CPU_COUNT */
 #include <math.h>
+#include <pthread.h>
+#include <sched.h>
+#include <stdatomic.h>
 #include <stdint.h>
 #include <stdlib.h>
 
@@ -36,7 +41,9 @@ typedef struct {
     point max_line, min_line;
 } stabber;
 
-typedef struct { long start, end; int valid; double m, b; } pair_state;
+/* One fragment of a pair's tiling of [0, n): it ends at end (its start
+ * is the previous tile's end), and its fit (m, b) counts if valid. */
+typedef struct { long end; int valid; double m, b; } tile;
 
 /* The best edge (i, j) found so far into node j, with the function fitted
  * at fit_start that it uses. */
@@ -235,9 +242,9 @@ static int constraint(int kind, long x, int64_t y, uint64_t eps, int64_t y0,
     return 1;
 }
 
-/* MakeApproximation(T, k, f, eps): the greedy maximal fragment from k. */
-static void refresh(pair_state *p, int kind, uint64_t eps, const int64_t *ys, long n, long k,
-                    stabber *s)
+/* MakeApproximation(T, k, f, eps): the greedy maximal fragment from k,
+ * as the tile [k, end). */
+static tile refresh(int kind, uint64_t eps, const int64_t *ys, long n, long k, stabber *s)
 {
     long j;
     stab_reset(s);
@@ -249,69 +256,145 @@ static void refresh(pair_state *p, int kind, uint64_t eps, const int64_t *ys, lo
         if (c == 0 || !isfinite(t) || !isfinite(lo) || !isfinite(hi) || !stab_add(s, t, lo, hi))
             break;
     }
-    p->start = k;
-    p->valid = j > k;
-    p->end = j > k ? j : k + 1;
-    p->m = p->b = 0.0; /* anchor-only fragment: no segment to solve */
-    if (p->valid && s->len)
-        stab_solve(s, &p->m, &p->b);
+    tile r = {.end = j > k ? j : k + 1, .valid = j > k}; /* m = b = 0: anchor-only fragment */
+    if (r.valid && s->len)
+        stab_solve(s, &r.m, &r.b);
+    return r;
+}
+
+/* Phase 1's shared state: the pairs, a counter that hands them out, and
+ * each pair's tiling, written once by the worker that fitted it. */
+typedef struct {
+    const int64_t *ys;
+    const int32_t *kinds;
+    const uint64_t *eps;
+    long n, npairs;
+    tile **tiles;
+    atomic_long next;
+    atomic_int failed;
+} fit_job;
+
+/* A phase 1 worker: tiles [0, n) for every pair it takes, with its own
+ * stabber.  An invalid tile is merged into an invalid predecessor; the
+ * sweep skips both alike. */
+static void *fit_pairs(void *arg)
+{
+    fit_job *job = arg;
+    long n = job->n;
+    double *seg = malloc((3 * n + 1) * sizeof *seg);
+    point *hulls = malloc((2 * n + 1) * sizeof *hulls);
+    stabber s = {.ts = seg, .los = seg + n, .his = seg + 2 * n, .hull_lo = hulls, .hull_hi = hulls + n};
+    if (!seg || !hulls)
+        atomic_store(&job->failed, 1);
+    for (long q; !atomic_load(&job->failed) && (q = atomic_fetch_add(&job->next, 1)) < job->npairs;) {
+        tile *list = NULL;
+        long count = 0, cap = 0;
+        for (long k = 0; k < n;) {
+            tile t = refresh(job->kinds[q], job->eps[q], job->ys, n, k, &s);
+            k = t.end;
+            if (!t.valid && count && !list[count - 1].valid) {
+                list[count - 1].end = t.end;
+                continue;
+            }
+            if (count == cap) {
+                tile *grown = realloc(list, (cap = cap ? 2 * cap : 64) * sizeof *list);
+                if (!grown) {
+                    atomic_store(&job->failed, 1);
+                    break;
+                }
+                list = grown;
+            }
+            list[count++] = t;
+        }
+        tile *fitted = count ? realloc(list, count * sizeof *list) : NULL; /* drop the slack */
+        job->tiles[q] = fitted ? fitted : list;
+    }
+    free(seg);
+    free(hulls);
+    return NULL;
+}
+
+/* min(CPUs this thread may run on, npairs), at least 1. */
+static long fit_threads(long npairs)
+{
+    cpu_set_t set;
+    long cpus = sched_getaffinity(0, sizeof set, &set) == 0 ? CPU_COUNT(&set) : 1;
+    return npairs < 1 ? 1 : cpus < npairs ? cpus : npairs;
 }
 
 /* Algorithm 1 over ys[0, n) and the (kind, eps) pairs.  An edge (i, j) of
  * pair p weighs (j - i) * corr_bits[p] + kappa[p] bits (pass corr_bits 0
  * for the lossy weights).  Writes the path's fragments in order as rows
  * (start, end, pair, fit_start, m, b) into arrays of capacity n and returns
- * their count; -1 if out of memory, -2 if some node is unreachable. */
+ * their count; -1 if out of memory, -2 if some node is unreachable.
+ *
+ * Phase 1 fits every pair's tiling in threads: a pair refreshes exactly
+ * when the sweep reaches the end of its fragment, so the tiling depends on
+ * the series alone.  The threads are joined before phase 2, the serial
+ * sweep, which replays the refreshes from the tiles. */
 long neats_alg1(const int64_t *ys, long n, const int32_t *kinds, const uint64_t *eps,
                 const int64_t *corr_bits, const int64_t *kappa, long npairs,
                 int64_t *out_start, int64_t *out_end, int32_t *out_pair, int64_t *out_fit,
                 double *out_m, double *out_b)
 {
-    long ret = -1;
+    long ret = -1, np = npairs ? npairs : 1;
+    fit_job job = {.ys = ys, .kinds = kinds, .eps = eps, .n = n, .npairs = npairs,
+                   .tiles = calloc(np, sizeof(tile *))};
     double *dist = malloc((n + 1) * sizeof *dist);
     edge *prev = malloc((n + 1) * sizeof *prev);
-    pair_state *pairs = calloc(npairs ? npairs : 1, sizeof *pairs);
-    double *seg = malloc(3 * n * sizeof *seg);
-    point *hulls = malloc(2 * n * sizeof *hulls);
-    stabber s = {.ts = seg, .los = seg + n, .his = seg + 2 * n, .hull_lo = hulls, .hull_hi = hulls + n};
-    if (!dist || !prev || !pairs || !seg || !hulls)
+    long *next = calloc(np, sizeof *next), *start = calloc(np, sizeof *start);
+    tile *cur = calloc(np, sizeof *cur); /* end = 0: every pair refreshes at k = 0 */
+    long nthreads = fit_threads(npairs), started = 0;
+    pthread_t *threads = malloc(nthreads * sizeof *threads);
+    if (!job.tiles || !dist || !prev || !next || !start || !cur || !threads)
         goto out;
 
+    /* phase 1: the calling thread is worker 0 */
+    atomic_init(&job.next, 0);
+    atomic_init(&job.failed, 0);
+    while (started < nthreads - 1 && pthread_create(&threads[started], NULL, fit_pairs, &job) == 0)
+        started++;
+    fit_pairs(&job);
+    for (long t = 0; t < started; t++)
+        pthread_join(threads[t], NULL);
+    if (atomic_load(&job.failed))
+        goto out;
+
+    /* phase 2: pair q's current tile is cur[q], from start[q]; next[q]
+     * indexes its following tile */
     for (long i = 0; i <= n; i++) {
         dist[i] = INFINITY;
         prev[i].pair = -1;
     }
     dist[0] = 0.0;
-    for (long q = 0; q < npairs; q++)
-        pairs[q].start = pairs[q].end = -1;
 
     ret = -2;
     for (long k = 0; k < n; k++) {
         for (long q = 0; q < npairs; q++) { /* prefix edges (start, k) */
-            pair_state *p = &pairs[q];
-            if (p->end <= k)
-                refresh(p, kinds[q], eps[q], ys, n, k, &s);
-            if (!p->valid)
+            if (cur[q].end <= k) {
+                start[q] = cur[q].end;
+                cur[q] = job.tiles[q][next[q]++];
+            }
+            if (!cur[q].valid)
                 continue;
-            long i = p->start;
+            long i = start[q];
             double w = (double)((k - i) * corr_bits[q] + kappa[q]);
             if (i < k && dist[i] + w < dist[k]) {
                 dist[k] = dist[i] + w;
-                prev[k] = (edge){i, p->start, (int)q, p->m, p->b};
+                prev[k] = (edge){i, i, (int)q, cur[q].m, cur[q].b};
             }
         }
         double dk = dist[k];
         if (dk == INFINITY)
             goto out;
         for (long q = 0; q < npairs; q++) { /* suffix edges (k, end) */
-            pair_state *p = &pairs[q];
-            if (!p->valid)
+            if (!cur[q].valid)
                 continue;
-            long j = p->end;
+            long j = cur[q].end;
             double w = (double)((j - k) * corr_bits[q] + kappa[q]);
             if (dk + w < dist[j]) {
                 dist[j] = dk + w;
-                prev[j] = (edge){k, p->start, (int)q, p->m, p->b};
+                prev[j] = (edge){k, start[q], (int)q, cur[q].m, cur[q].b};
             }
         }
     }
@@ -331,10 +414,14 @@ long neats_alg1(const int64_t *ys, long n, const int32_t *kinds, const uint64_t 
     }
     ret = m;
 out:
+    for (long q = 0; job.tiles && q < npairs; q++)
+        free(job.tiles[q]);
+    free(job.tiles);
     free(dist);
     free(prev);
-    free(pairs);
-    free(seg);
-    free(hulls);
+    free(next);
+    free(start);
+    free(cur);
+    free(threads);
     return ret;
 }

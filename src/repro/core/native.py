@@ -42,8 +42,9 @@ _CACHE = os.path.join(_DIR, "_build")
 #: No -ffast-math and no -march=native: the fitter must round exactly as
 #: CPython's float arithmetic does, and the evaluator's rounding is part of
 #: the payload format; -ffp-contract=off forbids fused multiply-adds that
-#: would round once where Python rounds twice.
-_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+#: would round once where Python rounds twice.  -pthread: Algorithm 1 fits
+#: its pairs in threads.
+_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared", "-pthread")
 _INCLUDE = sysconfig.get_paths()["include"]  # Python.h of the running interpreter
 
 _I64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
@@ -134,7 +135,10 @@ def alg1(ys: np.ndarray, kinds, eps, corr_bits, kappa) -> list[tuple]:
     the other arguments (kind codes follow ``models.FAMILIES``).  An edge of
     pair q weighs ``len * corr_bits[q] + kappa[q]`` bits.  Returns the
     shortest path as rows ``(start, end, pair, fit_start, m, b, y0)``, where
-    ``(m, b)`` is the fitted line and ``y0 = ys[fit_start]``."""
+    ``(m, b)`` is the fitted line and ``y0 = ys[fit_start]``.  The kernel
+    fits the pairs in one thread per CPU of the process's affinity (at most
+    one per pair), all joined before it returns; their count cannot change
+    the result."""
     fn = library().neats_alg1
     n = len(ys)
     start, end, fit = (np.empty(n, dtype=np.int64) for _ in range(3))

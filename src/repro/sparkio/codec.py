@@ -104,13 +104,17 @@ def _read(payload: bytes, codec: str, n: int, part) -> np.ndarray:
     ``n`` values.  NeaTS payloads decode only those, by ``NeaTS.scan``
     (Section IV-C4) or Algorithm 3 (``NeaTS.access_many``); a stream
     payload is decoded whole.  A payload that holds other than the row's
-    ``n`` values raises :class:`CorruptPayloadError`."""
+    ``n`` values, or that its stream codec rejects, raises
+    :class:`CorruptPayloadError`."""
     stream = _stream(codec)
     if stream is None:
         view = NeaTS.from_bytes(payload)
         count = view.n
     else:
-        values = stream.decompress(bytes(payload), n)
+        try:
+            values = stream.decompress(bytes(payload), n)
+        except (OSError, ValueError) as e:
+            raise CorruptPayloadError(f"the row says {n} values, its {codec} payload: {e}") from e
         count = len(values)
     if count != n:
         raise CorruptPayloadError(f"the row says {n} values, its {codec} payload holds {count}")

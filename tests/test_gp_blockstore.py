@@ -27,6 +27,18 @@ class TestGPCodecs:
         out = c.decompress(c.compress(arr), n_values=len(arr))
         assert np.array_equal(out, arr)
 
+    @pytest.mark.parametrize("name", GP_CODECS)
+    def test_short_payload_not_padded(self, name):
+        """A 100-value payload read as 110 values raises or returns its own
+        100 values, never 110."""
+        vals = np.arange(100, dtype=np.int64) * 7919
+        c = GPCodec(name)
+        try:
+            out = c.decompress(c.compress(vals), n_values=110)
+        except (OSError, ValueError):
+            return
+        assert np.array_equal(out, vals)
+
     def test_xz_is_real_lzma(self):
         """Xz output must carry the .xz magic — the authentic format."""
         blob = GPCodec("Xz").compress(np.arange(100, dtype=np.int64))

@@ -1,4 +1,5 @@
 """Algorithm 1: optimal DAG partitioning."""
+import hashlib
 import os
 import subprocess
 import sys
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 from repro.core import lossy as lossy_mod, native, neats as neats_mod, partition
 from repro.core.bitstream import bits_for_signed
 from repro.core.lossy import NeaTSLossy
-from repro.core.models import DEFAULT_FAMILIES, FAMILIES, Family, Linear, family_by_kind
+from repro.core.models import (
+    DEFAULT_FAMILIES, FAMILIES, Exponential, Family, Linear, Power, family_by_kind,
+)
 from repro.core.neats import NeaTS
 from repro.core.partition import (
     FRAGMENT_OVERHEAD_BITS, OutOfDomainError, default_epsilons, frag_rows, optimal_partition,
@@ -200,6 +203,59 @@ class TestKernelMatchesReference:
             monkeypatch.setattr(mod, "optimal_partition", optimal_partition_reference)
         assert kernel == [NeaTS.compress(ys, variant=v).to_bytes() for v in variants]
         assert lossy == _bits(NeaTSLossy.compress(ys, 16).pieces)
+
+
+def _cpus():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _invalid_tiles_series():
+    """Exponential runs between runs of values <= 0, where no Exponential or
+    Power fragment can start (y - eps <= 0): those pairs' tilings alternate
+    valid tiles, which the path uses, with runs of invalid ones."""
+    x = np.arange(1, 31)
+    return np.concatenate([np.r_[0, 0, -7, 0, 0, np.round(50 * np.exp(0.15 * x)) + 7 * r]
+                           for r in range(6)]).astype(np.int64)
+
+
+class TestKernelThreads:
+    """Phase 1 fits the pairs in as many threads as there are CPUs (at most
+    one per pair); the thread count must not change a partition."""
+
+    @pytest.mark.parametrize("ys, families, eps, lossy", [
+        pytest.param(_series(3, n=300), FAMILIES,
+                     [0] + [2**b for b in range(_cpus() // len(FAMILIES) + 1)], False,
+                     id="more-pairs-than-cpus"),
+        pytest.param(np.asarray([7]), FAMILIES, [0, 1, 8], False, id="n1"),
+        pytest.param(np.asarray([7, -3]), FAMILIES, [0, 1, 8], False, id="n2"),
+        pytest.param(np.asarray([7, 9, 2**62]), FAMILIES, [0, 1, 8], False, id="n3"),
+        pytest.param(_series(4, n=500), [Linear()], [8], True, id="one-pair-lossy"),
+        pytest.param(_series(5, n=500), [Exponential()], [64], True, id="one-exp-pair-lossy"),
+        pytest.param(_invalid_tiles_series(), FAMILIES, [0, 4], False, id="invalid-tiles"),
+        pytest.param(_invalid_tiles_series(), [Exponential(), Power()], [0, 2], False,
+                     id="invalid-tiles-unreachable"),
+    ])
+    def test_same_partition(self, ys, families, eps, lossy):
+        assert (_outcome(optimal_partition, ys, families, eps, lossy=lossy)
+                == _outcome(optimal_partition_reference, ys, families, eps, lossy=lossy))
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+    def test_one_cpu_same_payloads(self):
+        """1 024-point blocks of the 16 sets compress to the same bytes in a
+        process pinned to one CPU (one thread) as in this one."""
+        code = ("import hashlib, os, sys; os.sched_setaffinity(0, {int(sys.argv[1])}); "
+                "from repro.core.neats import NeaTS; from repro.tsdata import DATASETS, load; "
+                "print(len(os.sched_getaffinity(0))); "
+                "[print(hashlib.sha256(NeaTS.compress(load(d, n=2048).ints[b:b + 1024])"
+                ".to_bytes()).hexdigest()) for d in DATASETS for b in (0, 1024)]")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code, str(min(os.sched_getaffinity(0)))],
+                             env=env, capture_output=True, text=True, timeout=300, check=True)
+        pinned = out.stdout.split()
+        here = [hashlib.sha256(NeaTS.compress(load(d, n=2048).ints[b:b + 1024]).to_bytes())
+                .hexdigest() for d in DATASETS for b in (0, 1024)]
+        assert pinned[0] == "1"
+        assert pinned[1:] == here
 
 
 class TestKernelBuild:

@@ -72,6 +72,14 @@ class TestForgedRowCount:
         with pytest.raises(CorruptPayloadError, match="800"):
             decode_block(encode_block(vals, codec), codec, len(vals) + delta)
 
+    @pytest.mark.parametrize("codec", ["xz", "brotli", "zstd", "lz4", "snappy"])
+    def test_short_stream_payload_raises(self, codec):
+        """A row that claims 110 values of a 100-value payload fails,
+        whether the codec rejects the payload or decodes its 100 values."""
+        payload = encode_block(np.arange(100, dtype=np.int64), codec)
+        with pytest.raises(CorruptPayloadError, match="110"):
+            decode_block(payload, codec, 110)
+
     def test_neats_header_n_past_its_row(self):
         """A header ``n`` that no section bounds (the last fragment's
         corrections are 0 bits wide) is caught against the row's ``n``."""

@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.baselines.chimp import Chimp128Codec, ChimpCodec
-from repro.baselines.gorilla import GorillaCodec
+from repro.baselines.chimp import Chimp128Codec, ChimpCodec, _references
+from repro.baselines.gorilla import GorillaCodec, _ctz64
 from repro.baselines.tsxor import TSXorCodec
 from repro.tsdata import DATASETS, load
 
@@ -56,6 +56,30 @@ class TestRoundtrips:
     def test_alternating_worst_case(self, codec_cls):
         vals = np.tile(np.asarray([0, 2**64 - 1], dtype=np.uint64), 100)
         _roundtrip(codec_cls(), vals)
+
+
+class TestChimpReferences:
+    """The window search in numpy picks what a scan of the window picks: the
+    most trailing zeros in the XOR, the earliest value on a tie."""
+
+    @staticmethod
+    def _scan(ints, window):
+        offsets, xors, tzs = [1], [0], [-1]
+        for i in range(1, len(ints)):
+            best = max(range(max(0, i - window), i), key=lambda j: (_ctz64(ints[i] ^ ints[j]), -j))
+            offsets.append(i - best)
+            xors.append(ints[i] ^ ints[best])
+            tzs.append(_ctz64(xors[-1]))
+        return offsets, xors, tzs
+
+    @pytest.mark.parametrize("window", [1, 3, 128])
+    @given(st.lists(st.integers(0, 2**64 - 1) | st.sampled_from([0, 1, 2**63, 2**40, 3 << 40]),
+                    min_size=1, max_size=300))
+    @settings(max_examples=30, deadline=None)
+    def test_same_as_scan(self, window, vals):
+        arr = np.asarray(vals, dtype=np.uint64)
+        got = [a.tolist()[1:] for a in _references(arr, window)]  # value 0 has no reference
+        assert got == [a[1:] for a in self._scan(vals, window)]
 
 
 class TestCompressionBehaviour:
