@@ -11,7 +11,7 @@ import numpy as np
 
 from . import native
 from .models import DEFAULT_FAMILIES, family_by_kind
-from .partition import Piece, frag_rows, optimal_partition, positivity_shift
+from .partition import Piece, as_int64, frag_rows, optimal_partition, positivity_shift
 
 __all__ = ["NeaTSLossy", "lossy_size_bytes", "mape"]
 
@@ -56,7 +56,7 @@ class NeaTSLossy:
 
     @classmethod
     def compress(cls, values, eps: int, *, families=None) -> "NeaTSLossy":
-        ys = np.asarray(values, dtype=np.int64)
+        ys = as_int64(values)
         families = list(DEFAULT_FAMILIES if families is None else families)
         shift = positivity_shift(ys, families, eps)
         pieces = optimal_partition(ys + shift, families, [int(eps)], lossy=True)

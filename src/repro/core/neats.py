@@ -48,7 +48,9 @@ import numpy as np
 
 from . import native
 from .models import DEFAULT_FAMILIES, Linear
-from .partition import default_epsilons, frag_rows, optimal_partition, positivity_shift, select_pairs
+from .partition import (
+    as_int64, default_epsilons, frag_rows, optimal_partition, positivity_shift, select_pairs,
+)
 
 __all__ = ["NeaTS", "CorruptPayloadError"]
 
@@ -111,7 +113,9 @@ class NeaTS:
     # ------------------------------------------------------------------ build
     @classmethod
     def compress(cls, values, *, families=None, epsilons=None, variant: str = "neats") -> "NeaTS":
-        ys = np.asarray(values, dtype=np.int64)
+        if variant not in ("neats", "leats", "sneats"):
+            raise ValueError(f"unknown variant {variant!r}: neats, leats or sneats")
+        ys = as_int64(values)
         if len(ys) == 0:
             raise ValueError("empty series")
         families = list(DEFAULT_FAMILIES if families is None else families)
@@ -119,7 +123,7 @@ class NeaTS:
             families = [Linear()]
         if epsilons is None:
             epsilons = default_epsilons(ys)
-        shift = positivity_shift(ys, families, max(epsilons))
+        shift = positivity_shift(ys, families, max(epsilons, default=0))
         ys_shifted = ys + shift
 
         if variant == "sneats":

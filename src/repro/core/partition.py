@@ -40,7 +40,7 @@ from .bitstream import bits_for_signed
 from .models import FAMILIES, Family, Linear
 
 __all__ = [
-    "Piece", "frag_rows", "optimal_partition", "default_epsilons", "positivity_shift",
+    "Piece", "as_int64", "frag_rows", "optimal_partition", "default_epsilons", "positivity_shift",
     "select_pairs", "FRAGMENT_OVERHEAD_BITS", "OutOfDomainError",
 ]
 
@@ -104,9 +104,19 @@ def default_epsilons(ys: np.ndarray) -> list[int]:
 
 class OutOfDomainError(ValueError):
     """An input that Algorithm 1 does not take: a family outside
-    ``models.FAMILIES``, a series that cannot be cast to int64, an eps
-    outside [0, 2^64), or a series that its positivity shift takes past
-    int64."""
+    ``models.FAMILIES``, no (family, eps) pair, a series that cannot be cast
+    to int64, an eps outside [0, 2^64), or a series that its positivity
+    shift takes past int64."""
+
+
+def as_int64(values) -> np.ndarray:
+    """``values`` as an int64 array.  Raises :class:`OutOfDomainError` for a
+    non-empty series whose dtype does not cast to int64 safely (floats,
+    uint64, Python ints past int64), instead of truncating or wrapping it."""
+    ys = np.asarray(values)
+    if ys.size and not np.can_cast(ys.dtype, np.int64):
+        raise OutOfDomainError(f"a {ys.dtype} series cannot be cast to int64")
+    return ys.astype(np.int64, copy=False)
 
 
 def positivity_shift(ys: np.ndarray, families: list[Family], eps: int) -> int:
@@ -134,19 +144,19 @@ def optimal_partition(
     the set that needs it (the NeaTS encoder applies the global shift).
     In lossy mode pass a single-element ``epsilons``.
     """
-    ys = np.asarray(ys)
+    ys = as_int64(ys)
     if len(ys) == 0:
         return []
     outside = [f for f in families if type(f) not in _KERNEL_KIND]
     if outside:
         raise OutOfDomainError(f"family {outside[0]!r} is not one of models.FAMILIES")
-    if not np.can_cast(ys.dtype, np.int64):
-        raise OutOfDomainError(f"a {ys.dtype} series cannot be cast to int64")
     if not all(0 <= e < 1 << 64 for e in epsilons):
         raise OutOfDomainError(f"eps outside [0, 2^64) in {list(epsilons)}")
     pairs = [(f, int(e)) for f in families for e in epsilons]
+    if not pairs:
+        raise OutOfDomainError("no (family, eps) pair: the family or the eps list is empty")
     rows = native.alg1(
-        np.ascontiguousarray(ys, dtype=np.int64),
+        np.ascontiguousarray(ys),
         [_KERNEL_KIND[type(f)] for f, _ in pairs],
         [e for _, e in pairs],
         [0 if lossy or e == 0 else bits_for_signed(e) for _, e in pairs],

@@ -44,11 +44,14 @@ def fan_out(spark: SparkSession, items: list[str], fn, schema):
 
     Implemented with the DataFrame API (mapInPandas over a one-column
     DataFrame, one item per partition) so the 16 per-dataset measurement
-    loops of the table harnesses use all cores.
+    loops of the table harnesses use all cores.  ``parallelize`` slices the
+    list into exactly one item per partition, where hashing the items can
+    put two in one partition and leave another empty.
     """
     import pandas as pd
 
-    df = spark.createDataFrame([(it,) for it in items], "item string").repartition(len(items), "item")
+    rdd = spark.sparkContext.parallelize([(it,) for it in items], len(items))
+    df = spark.createDataFrame(rdd, "item string")
 
     def _run(batches):
         for pdf in batches:

@@ -135,7 +135,9 @@ def compress_to_blocks(
 
     The groupBy shuffles rows to the executor owning each block, which then
     runs the NeaTS encoder on its sorted values — the per-partition custom
-    encoder pattern.
+    encoder pattern.  A block is read back as ``start_idx + arange(n)``, so
+    a block whose ``idx`` values are not consecutive (a gap or a duplicate)
+    raises ``ValueError``.
     """
     idx = F.col("idx").cast("long")
     src = df.select(
@@ -148,10 +150,13 @@ def compress_to_blocks(
         pdf = pdf.sort_values("idx")
         vals = pdf["y"].to_numpy(dtype=np.int64)
         bid = int(pdf["block_id"].iloc[0])
+        idx = pdf["idx"].to_numpy(dtype=np.int64)
+        if not np.array_equal(idx, np.arange(idx[0], idx[0] + len(idx))):
+            raise ValueError(f"block {bid}: its idx values are not consecutive from {idx[0]}")
         return pd.DataFrame(
             {
                 "block_id": [bid],
-                "start_idx": [int(pdf["idx"].iloc[0])],
+                "start_idx": [int(idx[0])],
                 "n": [len(vals)],
                 "codec": [codec],
                 "payload": [encode_block(vals, codec)],
@@ -173,13 +178,12 @@ def decompress_blocks(blocks: DataFrame) -> DataFrame:
     return _select(blocks, lambda start, n: slice(0, n))
 
 
-def random_access(blocks: DataFrame, keys: DataFrame, *, block_size: int | None = None) -> DataFrame:
+def random_access(blocks: DataFrame, keys: DataFrame) -> DataFrame:
     """Batch random access: one ``(idx, y)`` row per key of ``keys.idx`` that
     a block holds (duplicates repeat, nulls match nothing).  The keys are
     collected on the driver, so a batch is meant to be a few dozen keys; each
     block answers those inside its own extent with one batched Algorithm 3
-    call (``NeaTS.access_many``): no join, no shuffle, no block size to know.
-    ``block_size`` is accepted and not read, for callers that still pass it."""
+    call (``NeaTS.access_many``): no join, no shuffle, no block size to know."""
     rows = keys.select(F.col("idx").cast("long").alias("idx")).dropna().collect()
     ks = np.sort(np.array([r[0] for r in rows], dtype=np.int64))
 

@@ -262,6 +262,24 @@ class TestRegressions:
         with pytest.raises(OutOfDomainError, match="shift"):
             NeaTS.compress(np.asarray([-(2**62) - 5, 2**62], dtype=np.int64))
 
+    @pytest.mark.parametrize("values", [[1.5, 2.7, 3.9, 10.2], np.asarray([1, 2**64 - 1], dtype=np.uint64)],
+                             ids=["float", "uint64"])
+    def test_not_int64_is_out_of_domain(self, values):
+        """A series that int64 does not hold exactly is refused before the
+        cast, not truncated or wrapped into a payload of other values."""
+        with pytest.raises(OutOfDomainError, match="int64"):
+            NeaTS.compress(values)
+
+    @pytest.mark.parametrize("kw", [{"families": []}, {"epsilons": []}], ids=["families", "epsilons"])
+    @pytest.mark.parametrize("variant", ["neats", "sneats"])
+    def test_no_pair_is_out_of_domain(self, kw, variant):
+        with pytest.raises(OutOfDomainError, match="pair"):
+            NeaTS.compress(np.arange(1000, dtype=np.int64), variant=variant, **kw)
+
+    def test_unknown_variant(self):
+        with pytest.raises(ValueError, match="bogus"):
+            NeaTS.compress([1, 2, 3], variant="bogus")
+
     def test_access_many_out_of_range(self):
         c = NeaTS.compress(np.asarray([1, 2, 3], dtype=np.int64))
         assert c.access_many([]).tolist() == []

@@ -2,6 +2,7 @@
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark import TaskContext
 
 from repro.oracle import assert_equivalent
 from repro.runner import fan_out
@@ -55,3 +56,13 @@ class TestFanOut:
             "item string, n long",
         )
         assert sorted(r["n"] for r in rows) == [0, 1, 2]
+
+    def test_one_item_per_partition(self, spark):
+        """16 items (the table jobs' 16 datasets) run in 16 distinct partitions."""
+        rows = fan_out(
+            spark, [f"d{i}" for i in range(16)],
+            lambda it: [{"item": it, "part": TaskContext.get().partitionId()}],
+            "item string, part long",
+        )
+        assert len(rows) == 16
+        assert len({r["part"] for r in rows}) == 16

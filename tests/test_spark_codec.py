@@ -94,6 +94,18 @@ class TestForgedRowCount:
             decompress_blocks(forged).collect()
 
 
+class TestIngestIdx:
+    """A block is read back as ``start_idx + arange(n)``, so ingest refuses a
+    block whose ``idx`` has a gap or a duplicate instead of renumbering it."""
+
+    @pytest.mark.parametrize("codec", ["neats", "zstd"])
+    @pytest.mark.parametrize("idx", [[0, 2, 4, 6], [0, 1, 1, 2]], ids=["gap", "duplicate"])
+    def test_not_consecutive_raises(self, spark, codec, idx):
+        df = spark.createDataFrame(pd.DataFrame({"idx": idx, "y": [10, 20, 30, 40]}))
+        with pytest.raises(PythonException, match=r"ValueError: block \d+: its idx values are not consecutive"):
+            compress_to_blocks(df, codec=codec, block_size=4).collect()
+
+
 class TestBlocksPipeline:
     def test_block_layout(self, neats_blocks):
         rows = neats_blocks.orderBy("block_id").collect()
@@ -250,12 +262,12 @@ class TestRangeTrim:
         tables = {"original": pd.DataFrame({"idx": np.arange(N), "y": series.ints}),
                   "keys": pd.DataFrame({"idx": pd.array(keys, dtype="Int64")})}
         sql = "SELECT o.idx, o.y FROM original o JOIN keys k ON o.idx = k.idx"
-        assert_equivalent(random_access(blocks, keys_df, **kw), sql, **tables)
+        assert_equivalent(random_access(blocks, keys_df), sql, **tables)
         assert_equivalent(point_lookup(spark, path, keys_df, **kw), sql, **tables)
 
     def test_lookup_ignores_block_size(self, spark, coded, series):
         """A block answers the keys inside its own extent, so a block size
-        other than the store's misroutes nothing."""
+        other than the store's, passed to ``point_lookup``, misroutes nothing."""
         self.assert_lookup(spark, coded, series, [0, 255, 256, 300, 511, 512, 1023, 1024, N - 1],
                            block_size=BLOCK // 2)
 

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines import tsxor
 from repro.baselines.chimp import Chimp128Codec, ChimpCodec, _references
 from repro.baselines.gorilla import GorillaCodec, _ctz64
 from repro.baselines.tsxor import TSXorCodec
@@ -82,6 +83,81 @@ class TestChimpReferences:
         assert got == [a[1:] for a in self._scan(vals, window)]
 
 
+def _zero_bytes(x: int) -> tuple[int, int]:
+    """(leading zero bytes, trailing zero bytes) of a 64-bit value."""
+    if x == 0:
+        return 8, 0
+    b = x.to_bytes(8, "big")
+    return len(b) - len(b.lstrip(b"\0")), len(b) - len(b.rstrip(b"\0"))
+
+
+def _tsxor_scan(ints):
+    """TSXor's reference per value by scanning a list of the last 127 values,
+    most recent first: the first equal entry, else the first entry with the
+    most leading plus trailing zero bytes in its XOR; -1 for value 0."""
+    window, offsets = [], []
+    for v in ints:
+        if v in window:
+            offsets.append(window.index(v))
+        else:
+            offsets.append(max(range(len(window)), key=lambda off: (sum(_zero_bytes(v ^ window[off])), -off),
+                               default=-1))
+        window.insert(0, v)
+        del window[tsxor._WINDOW:]
+    return offsets
+
+
+def _tsxor_scan_compress(values):
+    """The TSXor payload written from :func:`_tsxor_scan`'s references, one value at a time."""
+    ints = np.asarray(values, dtype=np.uint64).tolist()
+    out = bytearray(len(ints).to_bytes(8, "little"))
+    for i, (v, off) in enumerate(zip(ints, _tsxor_scan(ints))):
+        x = v ^ ints[i - 1 - off] if off >= 0 else None
+        if x == 0:
+            out.append(off)
+            continue
+        if x is not None:
+            l, t = _zero_bytes(x)
+            length = 8 - l - t
+            if 2 + length < 9 and length > 0:
+                out += bytes((128 + off, (l << 4) | length)) + x.to_bytes(8, "big")[l:l + length]
+                continue
+        out.append(127)
+        out += v.to_bytes(8, "big")
+    return bytes(out)
+
+
+_BYTE_EDGES = [0, 1, 2**8 - 1, 2**8, 2**48 - 1, 2**48, 2**56 - 1, 2**56, 2**63, 2**64 - 1]
+
+
+class TestTSXorReferences:
+    """The numpy search and the payload it writes are those of a scan of the window."""
+
+    @given(st.lists(st.integers(0, 2**64 - 1) | st.sampled_from(_BYTE_EDGES)
+                    | st.integers(0, 3).map(lambda k: k << 40), max_size=300))
+    @settings(max_examples=60, deadline=None)
+    def test_same_as_scan(self, vals):
+        arr = np.asarray(vals, dtype=np.uint64)
+        assert tsxor._references(arr)[0].tolist() == _tsxor_scan(vals)
+        assert TSXorCodec().compress(arr) == _tsxor_scan_compress(arr)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_short(self, n):
+        for vals in ([2**56 - 1, 2**56][:n], [5, 5][:n]):
+            assert TSXorCodec().compress(np.asarray(vals, dtype=np.uint64)) == _tsxor_scan_compress(vals)
+
+    def test_leading_zero_bytes_at_byte_boundaries(self):
+        x = np.asarray(_BYTE_EDGES, dtype=np.uint64)
+        assert tsxor._leading_zero_bytes(x).tolist() == [_zero_bytes(v)[0] for v in _BYTE_EDGES]
+
+    @pytest.mark.parametrize("name", DATASETS)
+    def test_dataset_payloads(self, name):
+        ts = load(name, n=2000)
+        for vals in (ts.floats.view(np.uint64), ts.ints.astype(np.int64).view(np.uint64)):
+            block = vals[1000:2000]
+            assert TSXorCodec().compress(block) == _tsxor_scan_compress(block)
+
+
 class TestCompressionBehaviour:
     def test_chimp_beats_gorilla_on_floats(self):
         """The Chimp paper's headline claim, visible on smooth data."""
@@ -106,3 +182,12 @@ class TestCompressionBehaviour:
         # after the first 50 literals, every value costs 1 byte
         assert len(blob) < 8 + 50 * 9 + 450 * 2
         assert np.array_equal(TSXorCodec().decompress(blob, len(vals)), vals)
+
+    def test_tsxor_rejects_malformed_payload(self):
+        """A payload cut short or with bytes past its values, or whose first
+        value refers back, raises instead of decoding to other values."""
+        vals = np.asarray([1, 2, 3, 2**60 + 12345], dtype=np.uint64)
+        blob = TSXorCodec().compress(vals)
+        for bad in (blob[:-3], blob + b"\0", blob[:8] + b"\0" + blob[9:]):
+            with pytest.raises(ValueError):
+                TSXorCodec().decompress(bad, len(vals))
