@@ -9,37 +9,31 @@ family reaching farthest, and emits that fragment.  This reproduces the
 two properties the paper attributes to AA (Section IV-B): more fragments
 than NeaTS-L, and zero error at fragment anchors — hence its slightly
 better MAPE but worse compression ratio.
+
+Only the partitioner is AA's own.  Its three functions are Table I's
+Linear, Quadratic2 and Exponential with ``(theta, y0)`` as parameters, at
+local x = k - start (a :class:`Piece` with ``delta = -1`` puts x = 0 at the
+anchor), so AA is a :class:`NeaTSLossy`: the reconstruction through the C
+evaluator, the error check and the size model are NeaTS-L's.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.lossy import lossy_size_bytes
+from ..core.lossy import NeaTSLossy
+from ..core.partition import Piece
 
 __all__ = ["AA"]
 
-_KINDS = ("linear", "quadratic", "exponential")
-
-
-@dataclass(frozen=True)
-class AAPiece:
-    start: int
-    end: int
-    kind: str
-    theta: float
-    y0: float
-
-    def __len__(self) -> int:
-        return self.end - self.start
+_KINDS = ("linear", "quadratic2", "exponential")
 
 
 def _basis(kind: str, dx: float) -> float:
     if kind == "linear":
         return dx
-    if kind == "quadratic":
+    if kind == "quadratic2":
         return dx * dx
     raise AssertionError(kind)
 
@@ -48,7 +42,7 @@ def _extend_anchored(ys: np.ndarray, i: int, eps: float, kind: str) -> tuple[int
     """Longest fragment from ``i`` for an anchored one-parameter family.
 
     linear:      f(x) = y0 + theta*(x - x0)
-    quadratic:   f(x) = y0 + theta*(x - x0)^2
+    quadratic2:  f(x) = y0 + theta*(x - x0)^2
     exponential: f(x) = y0 * exp(theta*(x - x0))   (needs y0 > 0 and y_k > 0)
     Returns (end_exclusive, theta).
     """
@@ -82,17 +76,12 @@ def _extend_anchored(ys: np.ndarray, i: int, eps: float, kind: str) -> tuple[int
     return j, theta
 
 
-class AA:
-    def __init__(self, pieces: list[AAPiece], n: int, eps: float):
-        self.pieces = pieces
-        self.n = n
-        self.eps = eps
-
+class AA(NeaTSLossy):
     @classmethod
-    def compress(cls, values, eps: float) -> "AA":
+    def compress(cls, values, eps: int) -> "AA":
         ys = np.asarray(values, dtype=np.float64)
         n = len(ys)
-        pieces: list[AAPiece] = []
+        pieces: list[Piece] = []
         i = 0
         while i < n:
             best_end, best_kind, best_theta = i + 1, "linear", 0.0
@@ -100,25 +89,6 @@ class AA:
                 end, theta = _extend_anchored(ys, i, float(eps), kind)
                 if end > best_end:
                     best_end, best_kind, best_theta = end, kind, theta
-            pieces.append(AAPiece(i, best_end, best_kind, best_theta, float(ys[i])))
+            pieces.append(Piece(i, best_end, best_kind, eps, (best_theta, float(ys[i])), delta=-1))
             i = best_end
-        return cls(pieces, n, float(eps))
-
-    def approximate(self) -> np.ndarray:
-        out = np.empty(self.n, dtype=np.float64)
-        for p in self.pieces:
-            dx = np.arange(0, len(p), dtype=np.float64)
-            if p.kind == "linear":
-                out[p.start:p.end] = p.y0 + p.theta * dx
-            elif p.kind == "quadratic":
-                out[p.start:p.end] = p.y0 + p.theta * dx * dx
-            else:
-                out[p.start:p.end] = p.y0 * np.exp(np.minimum(p.theta * dx, 700.0))
-        return out
-
-    @property
-    def size_bytes(self) -> int:
-        return lossy_size_bytes(len(self.pieces), 2)
-
-    def max_error(self, values) -> float:
-        return float(np.max(np.abs(self.approximate() - np.asarray(values, dtype=np.float64))))
+        return cls(pieces, n, 0, eps)

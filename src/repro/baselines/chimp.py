@@ -111,6 +111,8 @@ class Chimp128Codec:
         n = int.from_bytes(blob[:8], "little")
         nbits = int.from_bytes(blob[8:16], "little")
         r = BitReader(np.frombuffer(blob, dtype=np.uint64, offset=16), nbits)
+        if not 0 < n <= nbits:  # every value takes at least one bit
+            raise ValueError(f"{n} values in {nbits} bits")
         idx_bits = (self.window - 1).bit_length()
         out = [0] * n
         pos = 0
@@ -123,11 +125,15 @@ class Chimp128Codec:
             if flag == 0b00:
                 idx = r.read(pos, idx_bits)
                 pos += idx_bits
+                if idx >= i:
+                    raise ValueError(f"value {i} refers to a value before the first")
                 out[i] = out[i - 1 - idx]
                 lead_prev = 65
             elif flag == 0b10:  # centre case
                 idx = r.read(pos, idx_bits)
                 pos += idx_bits
+                if idx >= i:
+                    raise ValueError(f"value {i} refers to a value before the first")
                 code = r.read(pos, 3)
                 pos += 3
                 centre = r.read(pos, 6)

@@ -71,6 +71,8 @@ class GorillaCodec:
         nbits = int.from_bytes(blob[8:16], "little")
         words = np.frombuffer(blob, dtype=np.uint64, offset=16)
         r = BitReader(words, nbits)
+        if not 0 < n <= nbits:  # every value takes at least one bit
+            raise ValueError(f"{n} values in {nbits} bits")
         out = np.empty(n, dtype=np.uint64)
         pos = 0
         prev = r.read(0, 64)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "BitReader", "bits_for", "bits_for_signed",
+    "BitRangeError", "BitReader", "bits_for", "bits_for_signed",
     "read_packed", "signed_width", "pad_words", "pack_bits",
 ]
 
@@ -107,6 +107,12 @@ def read_packed(words: np.ndarray, width: int, idx, *, start_bit: int = 0,
     return (lo | hi) & np.uint64((1 << width) - 1)
 
 
+class BitRangeError(IndexError, ValueError):
+    """A read past the bits a :class:`BitReader` holds.  An ``IndexError``
+    to the reader; a ``ValueError`` to a stream decoder, whose payload
+    ended before the values its header counts."""
+
+
 class BitReader:
     """Random-access reader over a ``uint64`` word array written by
     :func:`pack_bits`."""
@@ -114,6 +120,8 @@ class BitReader:
     def __init__(self, words: np.ndarray, nbits: int) -> None:
         self._words = np.ascontiguousarray(words, dtype=np.uint64)
         self._nbits = int(nbits)
+        if not 0 <= self._nbits <= 64 * len(self._words):
+            raise BitRangeError(f"{self._nbits} bits in {len(self._words)} words")
 
     def __len__(self) -> int:
         return self._nbits
@@ -123,7 +131,7 @@ class BitReader:
         if nbits == 0:
             return 0
         if pos < 0 or pos + nbits > self._nbits:
-            raise IndexError(f"bit range [{pos}, {pos + nbits}) out of [0, {self._nbits})")
+            raise BitRangeError(f"bit range [{pos}, {pos + nbits}) out of [0, {self._nbits})")
         w, off = pos >> 6, pos & 63
         out = int(self._words[w]) >> off
         got = 64 - off

@@ -13,23 +13,7 @@ from . import native
 from .models import DEFAULT_FAMILIES, family_by_kind
 from .partition import Piece, as_int64, frag_rows, optimal_partition, positivity_shift
 
-__all__ = ["NeaTSLossy", "lossy_size_bytes", "mape"]
-
-
-def lossy_size_bytes(n_pieces: int, param_floats: int | list[int], *, kind_bits: int = 2) -> int:
-    """Uniform size model for lossy piecewise outputs (used for NeaTS-L, PLA
-    and AA alike so ratios are comparable): per piece — parameters as
-    float64s, a kind tag, and an amortised Elias-Fano start entry; plus a
-    16-byte header.
-
-    ``param_floats`` is either a constant per piece or a per-piece list.
-    """
-    if isinstance(param_floats, int):
-        params_bits = n_pieces * param_floats * 64
-    else:
-        params_bits = 64 * sum(param_floats)
-    start_bits = n_pieces * 32  # EF start + delta, amortised upper bound
-    return 16 + (params_bits + start_bits + n_pieces * kind_bits + 7) // 8
+__all__ = ["NeaTSLossy", "mape"]
 
 
 def mape(actual: np.ndarray, approx: np.ndarray) -> float:
@@ -69,8 +53,12 @@ class NeaTSLossy:
 
     @property
     def size_bytes(self) -> int:
-        per_piece = [family_by_kind(p.kind).n_params for p in self.pieces]
-        return lossy_size_bytes(len(self.pieces), per_piece, kind_bits=self.kind_bits)
+        """Uniform size model of the lossy outputs (NeaTS-L, PLA and AA
+        alike, so their ratios compare): per piece, its parameters as
+        float64s, a kind tag and an amortised Elias-Fano start entry (start
+        and delta, 32 bits); plus a 16-byte header."""
+        params_bits = 64 * sum(family_by_kind(p.kind).n_params for p in self.pieces)
+        return 16 + (params_bits + len(self.pieces) * (32 + self.kind_bits) + 7) // 8
 
     def max_error(self, values) -> float:
         return float(np.max(np.abs(self.approximate() - np.asarray(values, dtype=np.float64))))

@@ -5,7 +5,7 @@ Each family knows how to rewrite the error constraints
 ``alpha_k <= t_k * m + b <= omega_k`` required by Theorem 1 and how to map
 the fitted ``(m, b)`` back to its own parameters.  It does not evaluate
 itself: ``eval_f`` in ``neats.c`` holds the one copy of the Table I
-formulas, which NeaTS, NeaTS-L and PLA all reach through
+formulas, which NeaTS, NeaTS-L, PLA and AA all reach through
 :func:`repro.core.native.evaluate`.  The program reads the families'
 metadata (``kind``, ``n_params``, ``requires_positive``) and
 ``params_from_mb``; the C kernel (``alg1.c``) fits and partitions for

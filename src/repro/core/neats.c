@@ -4,8 +4,8 @@
  * eval_f is the only evaluator of the fitted functions.  The NeaTS encoder
  * computes its corrections from floor(f(x)) through neats_eval and the
  * decoder adds them back through neats_scan/neats_access, so both see the
- * same floor(f(x)) whatever the host's numpy dispatches to; NeaTS-L and PLA
- * rebuild their approximations from the unfloored f(x) of neats_approx.
+ * same floor(f(x)) whatever the host's numpy dispatches to; NeaTS-L, PLA and
+ * AA rebuild their approximations from the unfloored f(x) of neats_approx.
  * To keep floor(f(x)) a property of the payload format (NTS2), the file is
  * built with -ffp-contract=off (no fused multiply-add), each expression
  * keeps the left-to-right order of its Python transcription, and
@@ -86,6 +86,8 @@ static inline int64_t eval_floor(const frag *fr, double x)
     return v >= -0x1p63 && v < 0x1p63 ? (int64_t)v : INT64_MIN;
 }
 
+/* x = k - start + 1 + delta; AA's delta = -1 wraps the unsigned sum to
+ * k - start exactly. */
 static inline double local_x(const frag *fr, int64_t k)
 {
     return (double)((uint64_t)fr->delta + (uint64_t)(k - fr->start) + 1);
@@ -101,7 +103,7 @@ void neats_eval(const frag *frags, int64_t m, int64_t *out)
 }
 
 /* f(x), unfloored, at every index of frags[0, m) into out[0, n): the lossy
- * reconstruction of NeaTS-L and PLA. */
+ * reconstruction of NeaTS-L, PLA and AA. */
 void neats_approx(const frag *frags, int64_t m, double *out)
 {
     for (int64_t i = 0; i < m; i++)

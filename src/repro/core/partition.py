@@ -68,7 +68,8 @@ class Piece:
     ``delta`` shifts the evaluation domain: the fragment's j-th value
     (j = 1..len) is approximated by the family's f at local x = j + delta.
     Suffix edges of Algorithm 1 reuse a function fitted at an earlier
-    origin and set ``delta > 0``.
+    origin and set ``delta > 0``; AA's pieces set ``delta = -1``, which puts
+    x = 0 at the fragment's first value.
     """
     start: int
     end: int

@@ -15,6 +15,7 @@ serialisation), the general-purpose codecs (``xz``/``zstd``/``lz4``/
 """
 from __future__ import annotations
 
+import lzma
 import sys
 import zipimport
 from typing import Iterator
@@ -104,7 +105,8 @@ def _read(payload: bytes, codec: str, n: int, part) -> np.ndarray:
     ``n`` values.  NeaTS payloads decode only those, by ``NeaTS.scan``
     (Section IV-C4) or Algorithm 3 (``NeaTS.access_many``); a stream
     payload is decoded whole.  A payload that holds other than the row's
-    ``n`` values, or that its stream codec rejects, raises
+    ``n`` values, or that its stream codec rejects (pyarrow's ``OSError``,
+    ``lzma.LZMAError`` for Xz, ``ValueError``), raises
     :class:`CorruptPayloadError`."""
     stream = _stream(codec)
     if stream is None:
@@ -113,7 +115,7 @@ def _read(payload: bytes, codec: str, n: int, part) -> np.ndarray:
     else:
         try:
             values = stream.decompress(bytes(payload), n)
-        except (OSError, ValueError) as e:
+        except (OSError, ValueError, lzma.LZMAError) as e:
             raise CorruptPayloadError(f"the row says {n} values, its {codec} payload: {e}") from e
         count = len(values)
     if count != n:

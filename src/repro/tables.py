@@ -39,42 +39,21 @@ def table2_run_dataset(name: str, n: int | None) -> list[dict]:
     lossless = NeaTS.compress(ints, variant="sneats").size_bytes
     eps = pick_eps(ints, lossless)
 
-    t0 = time.perf_counter()
-    nl = NeaTSLossy.compress(ints, eps)
-    t_nl = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    pl = PLA.compress(ints, eps)
-    t_pl = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    aa = AA.compress(ints, eps)
-    t_aa = time.perf_counter() - t0
-
-    approx, dec_t = {}, {}
-    for key, obj in (("nl", nl), ("pla", pl), ("aa", aa)):
-        t0 = time.perf_counter()
-        approx[key] = obj.approximate()
-        dec_t[key] = time.perf_counter() - t0
-        err = float(np.max(np.abs(approx[key] - ints)))
-        assert err <= eps + 1e-6, (name, key, err, eps)
-
     mb = orig / 1e6
-    r = {
-        "dataset": name,
-        "eps": int(eps),
-        "eps_pct": 100.0 * eps / max(1, ts.value_range),
-        "aa": 100.0 * aa.size_bytes / orig,
-        "pla": 100.0 * pl.size_bytes / orig,
-        "neats_l": 100.0 * nl.size_bytes / orig,
-        "mape_aa": mape(ints, approx["aa"]),
-        "mape_pla": mape(ints, approx["pla"]),
-        "mape_nl": mape(ints, approx["nl"]),
-        "comp_aa": mb / t_aa,
-        "comp_pla": mb / t_pl,
-        "comp_nl": mb / t_nl,
-        "dec_aa": mb / dec_t["aa"],
-        "dec_pla": mb / dec_t["pla"],
-        "dec_nl": mb / dec_t["nl"],
-    }
+    r = {"dataset": name, "eps": int(eps), "eps_pct": 100.0 * eps / max(1, ts.value_range)}
+    for key, ratio_key, cls in (("aa", "aa", AA), ("pla", "pla", PLA), ("nl", "neats_l", NeaTSLossy)):
+        t0 = time.perf_counter()
+        obj = cls.compress(ints, eps)
+        t_comp = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        approx = obj.approximate()
+        t_dec = time.perf_counter() - t0
+        err = float(np.max(np.abs(approx - ints)))
+        assert err <= eps + 1e-6, (name, key, err, eps)
+        r[ratio_key] = 100.0 * obj.size_bytes / orig
+        r[f"mape_{key}"] = mape(ints, approx)
+        r[f"comp_{key}"] = mb / t_comp
+        r[f"dec_{key}"] = mb / t_dec
     r["impr_aa"] = 100.0 * (r["aa"] - r["neats_l"]) / r["aa"]
     r["impr_pla"] = 100.0 * (r["pla"] - r["neats_l"]) / r["pla"]
     return [r]

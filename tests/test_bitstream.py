@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.bitstream import (
-    BitReader, bits_for, bits_for_signed,
+    BitRangeError, BitReader, bits_for, bits_for_signed,
     pack_bits, pad_words, read_packed, signed_width,
 )
 
@@ -152,6 +152,16 @@ class TestWriterReader:
         r = BitReader(w.to_array(), w.nbits)
         with pytest.raises(IndexError):
             r.read(4, 8)
+
+    def test_out_of_range_is_a_value_error(self):
+        """Reading past the bits, or holding more bits than the words, is
+        a ``ValueError`` too: a stream payload that ends early."""
+        w = BitWriter()
+        w.write(5, 8)
+        with pytest.raises(ValueError):
+            BitReader(w.to_array(), w.nbits).read(4, 8)
+        with pytest.raises(BitRangeError):
+            BitReader(w.to_array(), 65)
 
     def test_word_boundary_spanning(self):
         w = BitWriter()

@@ -4,7 +4,7 @@ import pytest
 
 from repro.baselines.aa import AA
 from repro.baselines.pla import PLA
-from repro.core.lossy import NeaTSLossy, lossy_size_bytes, mape
+from repro.core.lossy import NeaTSLossy, mape
 from repro.core.models import Linear
 from repro.core.neats import NeaTS
 from repro.core.partition import OutOfDomainError
@@ -94,9 +94,6 @@ class TestApproximationQuality:
 
 
 class TestSizeModel:
-    def test_lossy_size_bytes_constant(self):
-        assert lossy_size_bytes(10, 2) == lossy_size_bytes(10, [2] * 10)
-
     def test_eps_growth_shrinks_neats_l(self):
         ts = load("WD", n=N_TEST)
         sizes = [NeaTSLossy.compress(ts.ints, e).size_bytes
@@ -106,7 +103,8 @@ class TestSizeModel:
     def test_pla_size_has_no_kind_tag(self):
         ts = load("CT", n=N_TEST)
         pl = PLA.compress(ts.ints, _eps_for(ts))
-        assert pl.size_bytes == lossy_size_bytes(len(pl.pieces), 2, kind_bits=0)
+        # a 16-byte header; per piece, two float64s and a 32-bit start entry
+        assert pl.size_bytes == 16 + (len(pl.pieces) * (2 * 64 + 32) + 7) // 8
 
     def test_pieces_cover(self):
         ts = load("DU", n=N_TEST)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import native
 from repro.core.models import (
@@ -117,6 +118,18 @@ class TestTableIFamilies:
                 # exact, with NaN equal to NaN
                 np.testing.assert_array_equal(native.evaluate(frags, floor=False),
                                               [_math_f(family.kind, params, x) for x in xs])
+
+    @given(kind=st.sampled_from(["linear", "quadratic2", "exponential"]),
+           theta=st.floats(-1e3, 1e3), y0=st.floats(-1e12, 1e12),
+           start=st.integers(0, 5), n=st.integers(1, 64))
+    @settings(max_examples=200, deadline=None)
+    def test_c_evaluator_at_delta_minus_one(self, kind, theta, y0, start, n):
+        """AA's pieces (``delta = -1``) evaluate at local x = k - start,
+        0 at the anchor, exactly as the math-module transcription does."""
+        pieces = [Piece(0, start, "linear", 0, (0.0, 0.0))] if start else []
+        pieces.append(Piece(start, start + n, kind, 0, (theta, y0), -1))
+        out = native.evaluate(frag_rows(pieces, start + n), floor=False)[start:]
+        np.testing.assert_array_equal(out, [_math_f(kind, (theta, y0), float(x)) for x in range(n)])
 
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.kind)
     def test_t_is_increasing_in_x(self, family):

@@ -80,6 +80,26 @@ class TestForgedRowCount:
         with pytest.raises(CorruptPayloadError, match="110"):
             decode_block(payload, codec, 110)
 
+    @pytest.mark.parametrize("codec", list(codec._CODECS))
+    @pytest.mark.parametrize("cut", [1, 8, 17, "half"])
+    def test_cut_payload_raises(self, codec, cut, series):
+        """Every block codec turns a payload cut short into
+        :class:`CorruptPayloadError`, whatever its decoder raises."""
+        vals = series.ints[:1000]
+        payload = encode_block(vals, codec)
+        keep = len(payload) // 2 if cut == "half" else len(payload) - cut
+        with pytest.raises(CorruptPayloadError):
+            decode_block(payload[:keep], codec, len(vals))
+
+    @pytest.mark.parametrize("codec", ["gorilla", "chimp"])
+    def test_xor_header_n_past_its_bits(self, codec, series):
+        """A Gorilla or Chimp header that counts one value more than its
+        bits hold, on a row that says the same, fails."""
+        vals = series.ints[:1000]
+        payload = (len(vals) + 1).to_bytes(8, "little") + encode_block(vals, codec)[8:]
+        with pytest.raises(CorruptPayloadError):
+            decode_block(payload, codec, len(vals) + 1)
+
     def test_neats_header_n_past_its_row(self):
         """A header ``n`` that no section bounds (the last fragment's
         corrections are 0 bits wide) is caught against the row's ``n``."""

@@ -183,6 +183,18 @@ class TestCompressionBehaviour:
         assert len(blob) < 8 + 50 * 9 + 450 * 2
         assert np.array_equal(TSXorCodec().decompress(blob, len(vals)), vals)
 
+    def test_chimp128_rejects_reference_before_first(self):
+        """A forged offset that points before the first value raises,
+        instead of reading a value from the end of the output."""
+        vals = np.full(200, 10, dtype=np.uint64)
+        blob = Chimp128Codec().compress(vals)
+        words = np.frombuffer(blob, dtype=np.uint64, offset=16).copy()
+        # value 1 is flag 00 (bits 64-65) and a 7-bit offset 0 (bits 66-72)
+        assert (int(words[1]) & 0x1FF) == 0
+        words[1] |= np.uint64(127 << 2)
+        with pytest.raises(ValueError, match="before the first"):
+            Chimp128Codec().decompress(blob[:16] + words.tobytes(), len(vals))
+
     def test_tsxor_rejects_malformed_payload(self):
         """A payload cut short or with bytes past its values, or whose first
         value refers back, raises instead of decoding to other values."""
@@ -191,3 +203,15 @@ class TestCompressionBehaviour:
         for bad in (blob[:-3], blob + b"\0", blob[:8] + b"\0" + blob[9:]):
             with pytest.raises(ValueError):
                 TSXorCodec().decompress(bad, len(vals))
+
+    @pytest.mark.parametrize("codec", [GorillaCodec, ChimpCodec, Chimp128Codec])
+    def test_bit_stream_rejects_malformed_payload(self, codec):
+        """A payload cut by one word, or whose header counts one value more
+        than its bits hold, none at all or more values than bits, raises
+        ``ValueError`` before sizing its output."""
+        vals = np.arange(100, 300, dtype=np.uint64) * np.uint64(7)
+        blob = codec().compress(vals)
+        for bad in (blob[:-8], *((n).to_bytes(8, "little") + blob[8:]
+                                 for n in (len(vals) + 1, 0, 2**40))):
+            with pytest.raises(ValueError):
+                codec().decompress(bad, len(vals))
