@@ -4,7 +4,7 @@ Each family knows how to rewrite the error constraints
 ``|f(x_k) - y_k| <= eps`` into the transformed form
 ``alpha_k <= t_k * m + b <= omega_k`` required by Theorem 1 and how to map
 the fitted ``(m, b)`` back to its own parameters.  It does not evaluate
-itself: ``eval_f`` in ``neats.c`` holds the one copy of the Table I
+itself: ``eval_kind`` in ``neats.c`` holds the one copy of the Table I
 formulas, which NeaTS, NeaTS-L, PLA and AA all reach through
 :func:`repro.core.native.evaluate`.  The program reads the families'
 metadata (``kind``, ``n_params``, ``requires_positive``) and

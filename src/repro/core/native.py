@@ -91,9 +91,9 @@ def build(cache_dir: str = _CACHE) -> str:
 @functools.cache
 def library() -> ctypes.CDLL:
     """The loaded library with its write-path entry points bound, and the
-    read path's type as ``library().Reader``: ``Reader(payload, frags)``
-    validates the ``bytes`` payload into the ``FRAG`` rows ``frags`` (one
-    per fragment plus a sentinel) and holds both."""
+    read path's type as ``library().Reader``: ``Reader(payload)`` validates
+    the ``bytes`` payload into ``FRAG`` rows of its own (one per fragment
+    plus a sentinel, readable as a buffer) and holds the payload."""
     try:
         path = build()
         lib = ctypes.CDLL(path)

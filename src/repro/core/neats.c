@@ -1,16 +1,21 @@
 /* The Table I evaluator and Algorithms 2-3 of NeaTS, over a serialised
  * payload (the byte layout of repro.core.neats.NeaTS.to_bytes).
  *
- * eval_f is the only evaluator of the fitted functions.  The NeaTS encoder
+ * eval_kind is the only copy of the Table I formulas.  The NeaTS encoder
  * computes its corrections from floor(f(x)) through neats_eval and the
  * decoder adds them back through neats_scan/neats_access, so both see the
  * same floor(f(x)) whatever the host's numpy dispatches to; NeaTS-L, PLA and
  * AA rebuild their approximations from the unfloored f(x) of neats_approx.
+ * All four run one fragment at a time (run): the switch on the fragment's
+ * kind is taken once, and a loop with that kind's formula fixed walks its
+ * indexes and, when decoding, its corrections at a running bit position.
  * To keep floor(f(x)) a property of the payload format (NTS2), the file is
  * built with -ffp-contract=off (no fused multiply-add), each expression
  * keeps the left-to-right order of its Python transcription, and
  * exp/log/pow/sqrt are the libm calls that CPython's math module makes;
- * x**3 is pow(x, 3.0).
+ * x**3 is pow(x, 3.0).  The floor itself is computed by truncating to
+ * int64 and stepping down below a negative non-integer (eval_floor), which
+ * is libm's floor at every double in int64's range.
  *
  * Memory: the caller owns every buffer.  neats_view reads the payload with
  * memcpy (its arrays start at unaligned offsets), checks every length field
@@ -52,12 +57,15 @@ enum { OK, BAD_MAGIC = -1, OVERRUN = -2, BAD_COUNT = -3, BAD_KIND = -4, SHORT_PA
 
 static const int N_PARAMS[N_KINDS] = {2, 2, 2, 3, 2, 2, 2, 2};
 
-/* f(x) of the fragment's function, the Table I formula of its kind. */
-static inline double eval_f(const frag *fr, double x)
+#define ALWAYS_INLINE static inline __attribute__((always_inline))
+
+/* f(x) of the fragment's function as a function of the given kind, the
+ * Table I formula: a constant kind folds the switch away. */
+ALWAYS_INLINE double eval_kind(int64_t kind, const frag *fr, double x)
 {
     const double a = fr->p[0], b = fr->p[1];
     double t;
-    switch (fr->kind) {
+    switch (kind) {
     case LINEAR:
         return a * x + b;
     case RADICAL:
@@ -78,12 +86,17 @@ static inline double eval_f(const frag *fr, double x)
     }
 }
 
-/* floor(f(x)); NaN and values outside int64 give INT64_MIN, on the
- * encoder's side and the decoder's alike. */
-static inline int64_t eval_floor(const frag *fr, double x)
+/* floor(v); NaN and values outside int64 give INT64_MIN, on the encoder's
+ * side and the decoder's alike.  In range, the truncation t toward zero is
+ * an integer no larger in magnitude than v, so (double)t is exact and
+ * exceeds v only for a negative non-integer, whose floor is t - 1: this is
+ * libm's floor at every double in int64's range, without its call. */
+static inline int64_t eval_floor(double v)
 {
-    double v = floor(eval_f(fr, x));
-    return v >= -0x1p63 && v < 0x1p63 ? (int64_t)v : INT64_MIN;
+    if (!(v >= -0x1p63 && v < 0x1p63))
+        return INT64_MIN;
+    const int64_t t = (int64_t)v;
+    return t - ((double)t > v);
 }
 
 /* x = k - start + 1 + delta; AA's delta = -1 wraps the unsigned sum to
@@ -91,24 +104,6 @@ static inline int64_t eval_floor(const frag *fr, double x)
 static inline double local_x(const frag *fr, int64_t k)
 {
     return (double)((uint64_t)fr->delta + (uint64_t)(k - fr->start) + 1);
-}
-
-/* floor(f(x)) at every index of frags[0, m), with frags[m].start = n, into
- * out[0, n): the encoder's half of the shared evaluator. */
-void neats_eval(const frag *frags, int64_t m, int64_t *out)
-{
-    for (int64_t i = 0; i < m; i++)
-        for (int64_t k = frags[i].start; k < frags[i + 1].start; k++)
-            out[k] = eval_floor(&frags[i], local_x(&frags[i], k));
-}
-
-/* f(x), unfloored, at every index of frags[0, m) into out[0, n): the lossy
- * reconstruction of NeaTS-L, PLA and AA. */
-void neats_approx(const frag *frags, int64_t m, double *out)
-{
-    for (int64_t i = 0; i < m; i++)
-        for (int64_t k = frags[i].start; k < frags[i + 1].start; k++)
-            out[k] = eval_f(&frags[i], local_x(&frags[i], k));
 }
 
 static inline uint64_t load64(const uint8_t *p)
@@ -138,16 +133,71 @@ static inline uint64_t read_bits(const uint8_t *base, int64_t pos, int w)
     return v & ((UINT64_C(1) << w) - 1);
 }
 
-/* Algorithm 3 within fragment fr: prediction plus correction, minus the
- * positivity shift, in wrapping arithmetic as the encoder subtracted. */
-static inline int64_t decode_at(const view *v, const frag *fr, int64_t k)
+/* What a run of one fragment writes at each of its indexes: the decoded
+ * value (Algorithm 3: prediction plus correction, minus the positivity
+ * shift), floor(f(x)) alone (the encoder's predictions), or f(x) (a lossy
+ * reconstruction). */
+enum { DECODE, FLOOR, APPROX };
+
+/* The values of mode at the indexes [lo, hi) of fragment fr, whose kind is
+ * kind, into out[0, hi - lo): int64 cells, or double ones for APPROX.
+ * Corrections are read from the C words cw at a running bit position; the
+ * decoded sum wraps in 64 bits, as the encoder's subtraction did. */
+ALWAYS_INLINE void run_kind(int mode, int64_t kind, const frag *fr, int64_t lo, int64_t hi,
+                            const uint8_t *cw, uint64_t shift, void *out)
 {
-    uint64_t y = (uint64_t)eval_floor(fr, local_x(fr, k));
-    int w = fr->width;
-    if (w)
-        y += read_bits(v->payload + v->cwords, fr->off + (k - fr->start) * w, w)
-             - (UINT64_C(1) << (w - 1));
-    return (int64_t)(y - (uint64_t)v->shift);
+    const frag row = *fr; /* a copy, which no store to out can alias */
+    const int w = mode == DECODE ? (int)row.width : 0;
+    const uint64_t half = w ? UINT64_C(1) << (w - 1) : 0;
+    int64_t pos = row.off + (lo - row.start) * w;
+    for (int64_t k = lo; k < hi; k++, pos += w) {
+        const double f = eval_kind(kind, &row, local_x(&row, k));
+        if (mode == APPROX)
+            ((double *)out)[k - lo] = f;
+        else if (mode == FLOOR)
+            ((int64_t *)out)[k - lo] = eval_floor(f);
+        else
+            ((int64_t *)out)[k - lo] = (int64_t)((uint64_t)eval_floor(f) + read_bits(cw, pos, w) - half - shift);
+    }
+}
+
+/* run_kind with the fragment's kind switched on once: each case runs a loop
+ * whose formula is fixed. */
+ALWAYS_INLINE void run(int mode, const frag *fr, int64_t lo, int64_t hi, const uint8_t *cw, uint64_t shift,
+                       void *out)
+{
+#define KIND(K)                                        \
+    case K:                                            \
+        run_kind(mode, K, fr, lo, hi, cw, shift, out); \
+        return;
+    switch (fr->kind) {
+        KIND(LINEAR)
+        KIND(RADICAL)
+        KIND(QUADRATIC2)
+        KIND(QUADRATIC3)
+        KIND(EXPONENTIAL)
+        KIND(POWER)
+        KIND(LOGARITHMIC)
+    default:
+        run_kind(mode, CUBIC_ODD, fr, lo, hi, cw, shift, out);
+    }
+#undef KIND
+}
+
+/* floor(f(x)) at every index of frags[0, m), with frags[m].start = n, into
+ * out[0, n): the encoder's half of the shared evaluator. */
+void neats_eval(const frag *frags, int64_t m, int64_t *out)
+{
+    for (const frag *fr = frags; fr < frags + m; fr++)
+        run(FLOOR, fr, fr[0].start, fr[1].start, NULL, 0, out + fr[0].start);
+}
+
+/* f(x), unfloored, at every index of frags[0, m) into out[0, n): the lossy
+ * reconstruction of NeaTS-L, PLA and AA. */
+void neats_approx(const frag *frags, int64_t m, double *out)
+{
+    for (const frag *fr = frags; fr < frags + m; fr++)
+        run(APPROX, fr, fr[0].start, fr[1].start, NULL, 0, out + fr[0].start);
 }
 
 /* S.rank(k) - 1: the fragment covering 0 <= k < n. */
@@ -167,7 +217,9 @@ static inline const frag *locate(const view *v, int64_t k)
 /* T[k] for 0 <= k < n (the caller checks the range). */
 int64_t neats_access(const view *v, int64_t k)
 {
-    return decode_at(v, locate(v, k), k);
+    int64_t y;
+    run(DECODE, locate(v, k), k, k + 1, v->payload + v->cwords, (uint64_t)v->shift, &y);
+    return y;
 }
 
 /* out[j] = T[ks[j]]; -1 (and out undefined) if some key is out of range. */
@@ -182,15 +234,16 @@ int neats_access_many(const view *v, const int64_t *ks, int64_t count, int64_t *
 }
 
 /* Algorithm 2 over T[lo, hi), 0 <= lo <= hi <= n: locate the first
- * fragment once, then walk the fragments in order. */
+ * fragment once, then decode fragment by fragment, each in one loop. */
 void neats_scan(const view *v, int64_t lo, int64_t hi, int64_t *out)
 {
     if (lo >= hi)
         return;
     for (const frag *fr = locate(v, lo); lo < hi; fr++) {
-        int64_t end = fr[1].start < hi ? fr[1].start : hi;
-        for (; lo < end; lo++)
-            *out++ = decode_at(v, fr, lo);
+        const int64_t end = fr[1].start < hi ? fr[1].start : hi;
+        run(DECODE, fr, lo, end, v->payload + v->cwords, (uint64_t)v->shift, out);
+        out += end - lo;
+        lo = end;
     }
 }
 

@@ -17,14 +17,15 @@ A ``NeaTS`` object is that payload and a reader of it.  The C library
 (``neats.c``) writes the payload from the fragment rows and corrections
 (``neats_encode``, through ``ctypes``).  Reads go through
 ``native.library().Reader``, a CPython type (``reader.c``) built from the
-payload ``bytes`` and an ndarray of ``FRAG`` rows: it validates the
-payload once, decodes S, B, O, K, P and D into one row per fragment, and
-answers ``access`` as one method call taking and returning a Python int,
-and ``decompress``, ``scan`` and ``access_many`` as one call each that
-writes into an int64 array allocated here, from those rows and the
-payload's own ``C`` words.  The type checks every index against ``n``;
-the methods below only add the errors of the public interface.  A payload
-that does not parse raises :class:`CorruptPayloadError`.
+payload ``bytes``: it validates the payload once, decodes S, B, O, K, P
+and D into one row per fragment, which it allocates itself, and answers
+``access`` as one method call taking and returning a Python int (bound to
+the instance as its ``access``), and ``decompress``, ``scan`` and
+``access_many`` as one call each that writes into an int64 array allocated
+here, from those rows and the payload's own ``C`` words.  The type checks
+every index against ``n``; the methods below only add the errors of the
+public interface.  A payload that does not parse raises
+:class:`CorruptPayloadError`.
 
 Corrections ``c_k = y_k - floor(f(x_k))`` are stored two's-complement in
 ``B[i]`` bits.  ``floor(f(x))`` comes from the library's one evaluator for
@@ -42,8 +43,6 @@ III-C) is always 0.
 """
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 
 from . import native
@@ -53,8 +52,6 @@ from .partition import (
 )
 
 __all__ = ["NeaTS", "CorruptPayloadError"]
-
-_HEADER = struct.Struct("<4sqqib")  # magic b"NTS2", n, shift, m, reserved 0
 
 #: ``neats_view``'s error codes
 _VIEW_ERRORS = {
@@ -99,16 +96,19 @@ class NeaTS:
 
     def _attach(self, blob: bytes) -> None:
         """Validate ``blob`` and decode its fragment rows, in one C call.
-        The reader holds ``blob`` and the rows for as long as it lives."""
-        m = _HEADER.unpack_from(blob)[3] if len(blob) >= _HEADER.size else 0
-        # every fragment stores at least two float64 parameters
-        frags = np.empty(min(max(m, 0), len(blob) // 16) + 1, dtype=native.FRAG)
+        The reader holds ``blob`` and its rows for as long as it lives."""
         try:
-            reader = native.library().Reader(blob, frags)
+            reader = native.library().Reader(blob)
         except ValueError as e:  # neats_view's error code
             raise CorruptPayloadError(_VIEW_ERRORS[e.args[0]]) from None
-        self._blob, self._frags, self._reader = blob, frags, reader
+        self._blob, self._reader = blob, reader
         self.n, self.shift, self.m = reader.n, reader.shift, reader.m
+        # access is the reader's own method, with no Python frame between,
+        # unless a subclass or a wrapper installed on the class has replaced
+        # NeaTS's: then every call goes through that replacement
+        cls = type(self)
+        if cls.access is cls.access_succinct is _ACCESS:
+            self.access = self.access_succinct = reader.access
 
     # ------------------------------------------------------------------ build
     @classmethod
@@ -150,7 +150,8 @@ class NeaTS:
 
     def access(self, k: int) -> int:
         """Algorithm 3: random access to T[k] (0-based); IndexError unless
-        0 <= k < n."""
+        0 <= k < n.  An instance binds its reader's method in its place
+        (see ``_attach``)."""
         return self._reader.access(k)
 
     #: Algorithm 3 over the stored succinct structures: the same call as
@@ -179,3 +180,6 @@ class NeaTS:
         obj = cls.__new__(cls)
         obj._attach(bytes(blob))
         return obj
+
+
+_ACCESS = NeaTS.access

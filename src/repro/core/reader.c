@@ -1,9 +1,10 @@
 /* NeaTS's read path as one CPython type, repro.core._reader.Reader.
  *
- * A Reader is built from a payload (bytes) and a writable buffer of frag
- * rows (the FRAG ndarray of repro.core.native).  It runs neats_view once,
- * keeps a reference to both, and answers Algorithm 3 (access,
- * access_many) and Algorithm 2 (scan) from them with no marshalling: keys
+ * A Reader is built from a payload (bytes).  It sizes its frag rows from
+ * the header's fragment count and holds them in the same allocation as
+ * itself, runs neats_view once, keeps a reference to the payload, and
+ * answers Algorithm 3 (access, access_many) and Algorithm 2 (scan) from
+ * them with no marshalling: keys
  * arrive as Python ints, results leave as Python ints or are written into
  * an int64 buffer that the caller supplies.  Every index is checked here,
  * against n, before anything is read.
@@ -19,10 +20,10 @@
 #include "neats.c"
 
 typedef struct {
-    PyObject_HEAD
+    PyObject_VAR_HEAD  /* ob_size: the rows allocated, v.cap */
     view v;
     PyObject *payload; /* the bytes v.payload points into */
-    Py_buffer frags;   /* the rows v.frags points into */
+    frag rows[];       /* the rows v.frags points to */
 } Reader;
 
 /* A C-contiguous buffer of int64; flags add PyBUF_WRITABLE for outputs. */
@@ -49,35 +50,34 @@ static int as_index(PyObject *obj, int64_t *k, int *overflow)
     return *k == -1 && PyErr_Occurred() ? -1 : 0;
 }
 
-/* Reader(payload: bytes, frags: writable buffer of FRAG rows).  A payload
- * that does not parse raises ValueError(code), code being neats_view's. */
+/* Reader(payload: bytes).  A payload that does not parse raises
+ * ValueError(code), code being neats_view's. */
 static PyObject *Reader_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
     PyObject *payload;
-    Py_buffer frags;
     if (kwds && PyDict_GET_SIZE(kwds)) {
         PyErr_SetString(PyExc_TypeError, "Reader takes no keyword arguments");
         return NULL;
     }
-    if (!PyArg_ParseTuple(args, "Sw*:Reader", &payload, &frags))
+    if (!PyArg_ParseTuple(args, "S:Reader", &payload))
         return NULL;
-    if (frags.len % sizeof(frag) != 0 || (uintptr_t)frags.buf % _Alignof(frag) != 0) {
-        PyBuffer_Release(&frags);
-        PyErr_SetString(PyExc_TypeError, "frags must be an aligned buffer of whole FRAG rows");
+    /* One row per fragment that the header's m promises, as far as the
+     * payload can hold them (each stores at least two float64
+     * parameters), plus the sentinel: neats_view refuses a larger m. */
+    const Py_ssize_t len = PyBytes_GET_SIZE(payload);
+    int32_t m = 0;
+    if (len >= 25) /* the header: magic, n, shift, m at byte 20, a reserved byte */
+        memcpy(&m, PyBytes_AS_STRING(payload) + 20, 4);
+    const Py_ssize_t cap = (m < 0 ? 0 : m < len / 16 ? m : len / 16) + 1;
+    Reader *self = (Reader *)type->tp_alloc(type, cap);
+    if (!self)
         return NULL;
-    }
-    Reader *self = (Reader *)type->tp_alloc(type, 0);
-    if (!self) {
-        PyBuffer_Release(&frags);
-        return NULL;
-    }
     Py_INCREF(payload);
     self->payload = payload;
-    self->frags = frags;
     self->v.payload = (const uint8_t *)PyBytes_AS_STRING(payload);
-    self->v.len = PyBytes_GET_SIZE(payload);
-    self->v.frags = frags.buf;
-    self->v.cap = frags.len / (Py_ssize_t)sizeof(frag);
+    self->v.len = len;
+    self->v.frags = self->rows;
+    self->v.cap = cap;
     int err = neats_view(&self->v);
     if (err) {
         Py_DECREF(self);
@@ -93,11 +93,19 @@ static PyObject *Reader_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 
 static void Reader_dealloc(Reader *self)
 {
-    if (self->frags.obj)
-        PyBuffer_Release(&self->frags);
     Py_XDECREF(self->payload);
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
+
+/* The rows as a read-only buffer: m fragments and the sentinel, each laid
+ * out as a repro.core.native.FRAG record. */
+static int Reader_getbuffer(Reader *self, Py_buffer *buf, int flags)
+{
+    return PyBuffer_FillInfo(buf, (PyObject *)self, self->rows, (self->v.m + 1) * (Py_ssize_t)sizeof(frag), 1,
+                             flags);
+}
+
+static PyBufferProcs Reader_as_buffer = {.bf_getbuffer = (getbufferproc)Reader_getbuffer};
 
 /* access(k) -> T[k]; IndexError(k) unless 0 <= k < n. */
 static PyObject *Reader_access(Reader *self, PyObject *arg)
@@ -184,8 +192,10 @@ static PyTypeObject ReaderType = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "repro.core._reader.Reader",
     .tp_doc = "A validated NeaTS payload and its decoded fragment rows.",
-    .tp_basicsize = sizeof(Reader),
+    .tp_basicsize = offsetof(Reader, rows),
+    .tp_itemsize = sizeof(frag),
     .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_as_buffer = &Reader_as_buffer,
     .tp_new = Reader_new,
     .tp_dealloc = (destructor)Reader_dealloc,
     .tp_methods = Reader_methods,

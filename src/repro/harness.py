@@ -61,6 +61,10 @@ CODECS = {
        for name in ("NeaTS", "LeaTS", "SNeaTS")},
 }
 
+#: runs of ``decompress()`` and of the access loop whose median ``measure``
+#: reports: one run of either moves by ~10 % between runs of the same code
+_REPEATS = 5
+
 #: Fig. 4 label -> codec table name: NeaTS runs as its SNeaTS variant
 FIG4 = {"NeaTS": "SNeaTS", "DAC": "DAC", "ALP": "ALP", "Lz4": "Lz4"}
 
@@ -72,10 +76,23 @@ def input_of(ts: TimeSeries, domain: str) -> np.ndarray:
     return ts.floats if domain == "float" else ts.ints
 
 
+def _median_time(fn) -> tuple[object, float]:
+    """The result of ``fn()`` and the median of its wall time over
+    ``_REPEATS`` calls."""
+    times = []
+    for _ in range(_REPEATS):
+        t0 = time.perf_counter()
+        out = fn()
+        times.append(time.perf_counter() - t0)
+    return out, float(np.median(times))
+
+
 def measure(name: str, ts: TimeSeries, *, n_access: int = 2000) -> dict:
     """Compress, decompress, random-access one dataset with one codec, and
     check both answers against the input.  Returns the Table III row:
-    ``ratio`` in percent, ``comp``/``dec``/``ra`` in MB/s."""
+    ``ratio`` in percent, ``comp``/``dec``/``ra`` in MB/s.  Compression is
+    timed once; decompression and the access loop are each the median of
+    ``_REPEATS`` runs."""
     domain, build = CODECS[name]
     values = input_of(ts, domain)
     mb = ts.original_bytes / 1e6
@@ -84,18 +101,18 @@ def measure(name: str, ts: TimeSeries, *, n_access: int = 2000) -> dict:
     art = build(values)
     t_comp = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    dec = art.decompress()
-    t_dec = time.perf_counter() - t0
+    dec, t_dec = _median_time(art.decompress)
     if not np.array_equal(np.asarray(dec), values):
         raise AssertionError(f"{name} is not lossless on {ts.name}")
 
     rng = np.random.default_rng(0)
     idx = rng.integers(0, ts.n, n_access)
-    t0 = time.perf_counter()
-    for k in idx:
-        art.access(int(k))
-    t_ra = time.perf_counter() - t0
+
+    def access_loop():
+        for k in idx:
+            art.access(int(k))
+
+    _, t_ra = _median_time(access_loop)
     for k in idx[:20]:
         if art.access(int(k)) != values[k]:
             raise AssertionError(f"{name} random access wrong on {ts.name}@{k}")

@@ -8,6 +8,7 @@ import pytest
 from repro.baselines.blockstore import BlockStore
 from repro.baselines.chimp import Chimp128Codec, ChimpCodec
 from repro.baselines.gp import GP_CODECS
+from repro.core.neats import NeaTS
 from repro.harness import ALL_LOSSLESS, CODECS, input_of, measure
 from repro.tsdata import load
 
@@ -108,8 +109,9 @@ class TestEmptySeries:
 
 
 class TestFormatPins:
-    """The baselines' bits, pinned: a roundtrip passes whatever the format,
-    so these hold the sizes and payloads that the formats produce."""
+    """The baselines' and NeaTS's bits, pinned: a roundtrip passes whatever
+    the format, so these hold the sizes and payloads that the formats
+    produce."""
 
     SIZES = {
         "IT": {"Chimp": 25688, "Chimp128": 11336, "DAC": 8792, "LeCo": 5557, "ALP": 6192},
@@ -126,6 +128,22 @@ class TestFormatPins:
         ("BP", "Chimp128"): "d1e643fac652b141b632c8408b079a5dcfd22ed9853ae0a1a3535370e298c0de",
     }
 
+    #: SHA-256 of the NeaTS payload of the first 1024 values, per variant
+    NEATS_SHA256 = {
+        ("IT", "neats"): "8244beb0b4ebe82ab2dfd2e362921874c38b6ee7df13374c54056f207823169b",
+        ("IT", "leats"): "781a9c2401c7d931c0be3334cc1b4e3f8f9a24dac7799e3a0ee164c93172fd6d",
+        ("IT", "sneats"): "4bb87a69cd6c64680b9558de8b6940369a0312bdcaba753d30e1c1f5051aab6b",
+        ("ECG", "neats"): "1438bcd9b4e89e280805bd44f49416eb43b83f6b48dcb78a9a523a7994d38a44",
+        ("ECG", "leats"): "6e2e5dc7c27f77a61495adc71a57d08947d7ad69e4492be649641f91520da32e",
+        ("ECG", "sneats"): "1438bcd9b4e89e280805bd44f49416eb43b83f6b48dcb78a9a523a7994d38a44",
+        ("DU", "neats"): "f164380b4c2e509ea0ac02cddfc756aa46c69227096529b25676827814d45561",
+        ("DU", "leats"): "3fd935b99a8ad49d0b0e4fa5733692a80185967eb347ca3d749fa104186484e3",
+        ("DU", "sneats"): "78be97dacad95b02623befc5f91e68fed0abbaeb09c7eba757f5b35633d2957c",
+        ("BP", "neats"): "1f69ace1d0254bb45df64436126bd5d6e1d8181a064d9a106834f0295a24e0d6",
+        ("BP", "leats"): "76c6a164825314913ed6dba861b91cf2c4ac584344259030fb6142bcdfd31aef",
+        ("BP", "sneats"): "1f69ace1d0254bb45df64436126bd5d6e1d8181a064d9a106834f0295a24e0d6",
+    }
+
     @pytest.mark.parametrize("ds", SIZES)
     def test_sizes(self, ds):
         ts = load(ds, n=4096)
@@ -137,3 +155,11 @@ class TestFormatPins:
         bits = load(ds, n=4096).floats[:1024].view(np.uint64)
         stream = {"Chimp": ChimpCodec, "Chimp128": Chimp128Codec}[codec]()
         assert hashlib.sha256(stream.compress(bits)).hexdigest() == self.CHIMP_SHA256[ds, codec]
+
+    @pytest.mark.parametrize("ds,variant", NEATS_SHA256)
+    def test_neats_payloads(self, ds, variant):
+        """An encoder and a decoder that drift together still round-trip;
+        the payload's hash does not."""
+        ys = load(ds, n=4096).ints[:1024]
+        blob = NeaTS.compress(ys, variant=variant).to_bytes()
+        assert hashlib.sha256(blob).hexdigest() == self.NEATS_SHA256[ds, variant]

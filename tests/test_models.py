@@ -131,6 +131,31 @@ class TestTableIFamilies:
         out = native.evaluate(frag_rows(pieces, start + n), floor=False)[start:]
         np.testing.assert_array_equal(out, [_math_f(kind, (theta, y0), float(x)) for x in range(n)])
 
+    @staticmethod
+    def floors(values):
+        """The C floor of each double in ``values``: one single-point linear
+        row per value, ``f(x) = -0.0 * x + v``, which is ``v`` itself."""
+        pieces = [Piece(k, k + 1, "linear", 0, (-0.0, v)) for k, v in enumerate(values)]
+        return native.evaluate(frag_rows(pieces, len(values)), floor=True).tolist()
+
+    def test_floor_edge_cases(self):
+        """Truncating to int64 and stepping down below a negative
+        non-integer is libm's floor, and outside int64 the sentinel."""
+        up, down = (lambda v: math.nextafter(v, math.inf)), (lambda v: math.nextafter(v, -math.inf))
+        values = [0.0, -0.0, -0.5, 0.5, -1.5, 1e-300, -1e-300, math.nan, -math.nan, math.inf, -math.inf]
+        for i in (1.0, -1.0, 7.0, -7.0, 2.0**52, -(2.0**52), 2.0**53, -(2.0**53), 2.0**62, -(2.0**62)):
+            values += [down(i), i, up(i)]
+        values += [2.0**53 - 1, -(2.0**53 - 1), 2.0**53 + 2, -(2.0**53 + 2)]
+        values += [2.0**63, -(2.0**63), down(2.0**63), down(-(2.0**63)), 2.0**64, -(2.0**64), 1e300, -1e300]
+        want = [_math_floor("linear", (-0.0, v), 1.0) for v in values]
+        assert self.floors(values) == want
+        assert want[values.index(2.0**63)] == want[values.index(math.nan)] == -2**63
+
+    @given(values=st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=50))
+    @settings(max_examples=200, deadline=None)
+    def test_floor_matches_math_floor(self, values):
+        assert self.floors(values) == [_math_floor("linear", (-0.0, v), 1.0) for v in values]
+
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.kind)
     def test_t_is_increasing_in_x(self, family):
         """Theorem 1 assumption (3): t_k positive increasing in x_k."""

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core import native
 from repro.core.models import DEFAULT_FAMILIES, FAMILIES, Linear
 from repro.core.neats import CorruptPayloadError, NeaTS
 from repro.core.partition import OutOfDomainError, default_epsilons, optimal_partition, positivity_shift
@@ -19,6 +20,11 @@ from tests import encoder_reference
 from tests.wavelet_reference import WaveletTree
 
 N_TEST = 1536
+
+
+def _rows(c: NeaTS) -> np.ndarray:
+    """The reader's fragment rows, without the sentinel."""
+    return np.frombuffer(c._reader, dtype=native.FRAG)[:c.m]
 
 
 @pytest.fixture(scope="module")
@@ -117,7 +123,7 @@ class TestViewAddressing:
         """Fragment i's row holds P_f[K.rank_f(i + 1) - 1] (Algorithm 3),
         with rank_f from a wavelet tree over K."""
         _, c = compressed[name]
-        rows = c._frags[:c.m]
+        rows = _rows(c)
         kinds = rows["kind"].tolist()
         wt = WaveletTree(kinds, len(FAMILIES))
         params = _param_sections(c.to_bytes())
@@ -131,7 +137,7 @@ class TestVariants:
         ts = load("IT", n=N_TEST)
         c = NeaTS.compress(ts.ints, variant="leats")
         assert np.array_equal(c.decompress(), ts.ints)
-        assert set(c._frags["kind"][:c.m].tolist()) == {0}  # kind id 0 == linear
+        assert set(_rows(c)["kind"].tolist()) == {0}  # kind id 0 == linear
 
     def test_neats_not_worse_than_leats_much(self):
         """Full family set should be <= linear-only + small serialisation
@@ -327,6 +333,34 @@ class TestLosslessProperty:
         c2 = NeaTS.from_bytes(c.to_bytes())
         assert c2.to_bytes() == c.to_bytes()
         _check_lossless(c2, ys)
+
+
+class TestFragmentRuns:
+    """``scan`` decodes fragment by fragment, one loop per function kind:
+    a range read equals the point reads and the full decode wherever it
+    starts and ends."""
+
+    @pytest.mark.parametrize("families", _FAMILY_CHOICES,
+                             ids=lambda fs: "default" if len(fs) > 1 else fs[0].kind)
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(ys=_series(), data=st.data())
+    def test_scan_equals_access_and_decompress(self, families, ys, data):
+        c = NeaTS.compress(ys, families=families)
+        full = c.decompress()
+        assert np.array_equal(full, ys)
+        n = c.n
+        starts = _rows(c)["start"].tolist() + [n]
+        ranges = [(0, n), (0, 0), (n, n), (n - 1, n)]
+        for s in starts[1:-1]:  # across each fragment boundary, and up to it
+            ranges += [(s - 1, s + 1), (s, s + 1), (s - 1, s), (s, s)]
+        for _ in range(3):  # from inside fragment i to inside fragment j >= i
+            i = data.draw(st.integers(0, len(starts) - 2))
+            j = data.draw(st.integers(i, len(starts) - 2))
+            lo = data.draw(st.integers(starts[i], starts[i + 1] - 1))
+            ranges.append((lo, data.draw(st.integers(max(lo, starts[j]), starts[j + 1]))))
+        for lo, hi in ranges:
+            got = c.scan(lo, hi)
+            assert got.tolist() == [c.access(k) for k in range(lo, hi)] == full[lo:hi].tolist(), (lo, hi)
 
 
 class TestEncoderReference:
@@ -565,6 +599,43 @@ class TestReaderLifetime:
             tracemalloc.stop()
         assert grown < 64 * 1024  # a leaked payload or reader per cycle is >= 10 MB
         assert sys.getrefcount(blob) == refs
+
+
+class TestReaderRows:
+    """The reader owns its fragment rows, and ``NeaTS.access`` is its
+    method."""
+
+    @pytest.fixture(scope="class")
+    def block(self):
+        ys = load("IT", n=1024, seed=5).ints
+        return NeaTS.from_bytes(NeaTS.compress(ys).to_bytes()), ys
+
+    def test_access_is_the_readers_method(self, block):
+        c, _ = block
+        assert c.access == c.access_succinct == c._reader.access
+
+    def test_an_override_on_the_class_sees_every_call(self, block, monkeypatch):
+        calls = []
+
+        def counted(self, k):
+            calls.append(k)
+            return self._reader.access(k)
+
+        monkeypatch.setattr(NeaTS, "access", counted)
+        monkeypatch.setattr(NeaTS, "access_succinct", counted)
+        c, ys = NeaTS.from_bytes(block[0].to_bytes()), block[1]
+        assert [c.access(3), c.access_succinct(4)] == ys[3:5].tolist()
+        assert calls == [3, 4]
+
+    def test_reader_rows_are_a_read_only_buffer(self, block):
+        """The reader sizes its rows from the payload's header: one per
+        fragment and the sentinel, whose start is n."""
+        c, _ = block
+        rows = np.frombuffer(c._reader, dtype=native.FRAG)
+        assert len(rows) == c.m + 1 and rows["start"][-1] == c.n
+        assert memoryview(c._reader).readonly
+        with pytest.raises(TypeError):
+            native.library().Reader(c.to_bytes(), np.empty(c.m + 1, dtype=native.FRAG))
 
 
 _FUZZ = textwrap.dedent("""

@@ -292,6 +292,16 @@ class TestKernelBuild:
         assert os.listdir(tmp_path) == [os.path.basename(outs[0])]
 
 
+    def test_sources_compile_without_warnings(self, tmp_path):
+        """The library's sources build under its own flags with -Wall
+        -Wextra -Werror."""
+        sources = [os.path.join(native._DIR, name) for name in native._SOURCES]
+        proc = subprocess.run(["gcc", *native._FLAGS, "-Wall", "-Wextra", "-Werror", f"-I{native._INCLUDE}",
+                               "-o", str(tmp_path / "neats.so"), *sources, "-lm"],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+
 class _NotAFamily(Family):
     kind = "linear"
 
