@@ -51,7 +51,11 @@ from .partition import (
     as_int64, default_epsilons, frag_rows, optimal_partition, positivity_shift, select_pairs,
 )
 
-__all__ = ["NeaTS", "CorruptPayloadError"]
+__all__ = ["NeaTS", "CorruptPayloadError", "VARIANTS"]
+
+#: The ``variant`` names of :meth:`NeaTS.compress` (Section IV-C1); all
+#: three write the same payload format
+VARIANTS = ("neats", "leats", "sneats")
 
 #: ``neats_view``'s error codes
 _VIEW_ERRORS = {
@@ -113,8 +117,8 @@ class NeaTS:
     # ------------------------------------------------------------------ build
     @classmethod
     def compress(cls, values, *, families=None, epsilons=None, variant: str = "neats") -> "NeaTS":
-        if variant not in ("neats", "leats", "sneats"):
-            raise ValueError(f"unknown variant {variant!r}: neats, leats or sneats")
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}: one of {', '.join(VARIANTS)}")
         ys = as_int64(values)
         if len(ys) == 0:
             raise ValueError("empty series")

@@ -9,13 +9,13 @@ is one ``mapInPandas`` pass in which each block decodes only the queried
 positions it holds, with NeaTS's in-block random access (Algorithm 3) or
 range scan (Section IV-C4).
 
-Supported block codecs: ``neats`` / ``leats`` / ``sneats`` (NeaTS
-serialisation), the general-purpose codecs (``xz``/``zstd``/``lz4``/
-``snappy``/``brotli``), and ``gorilla``/``chimp`` XOR streams.
+Every payload is a NeaTS serialisation.  A row's ``codec`` names the
+variant that wrote it (``neats`` / ``leats`` / ``sneats``, Section IV-C1),
+and all three read the same way.  The general-purpose and XOR codecs get
+their 1000-value blocks from ``baselines/blockstore.py``, for Table III.
 """
 from __future__ import annotations
 
-import lzma
 import sys
 import zipimport
 from typing import Iterator
@@ -25,13 +25,11 @@ import pandas as pd
 from pyspark import TaskContext
 from pyspark.sql import DataFrame, functions as F
 from pyspark.sql.types import (
-    BinaryType, LongType, StringType, StructField, StructType,
+    BinaryType, IntegralType, LongType, StringType, StructField, StructType,
 )
 
-from ..baselines.chimp import ChimpCodec
-from ..baselines.gorilla import GorillaCodec
-from ..baselines.gp import GP_CODECS, GPCodec
-from ..core.neats import CorruptPayloadError, NeaTS
+from ..core.neats import VARIANTS, CorruptPayloadError, NeaTS
+from ..core.partition import OutOfDomainError
 
 __all__ = ["compress_to_blocks", "decompress_blocks", "random_access", "range_query", "BLOCK_SCHEMA"]
 
@@ -72,28 +70,13 @@ def _install_lazy_zip_invalidate() -> None:
 
 _install_lazy_zip_invalidate()
 
-#: The ten block codecs: the stream codec that writes a block's payload, or
-#: ``None`` for the NeaTS variants, whose payloads are NeaTS serialisations
-_CODECS = {
-    "neats": None, "leats": None, "sneats": None,
-    **{name.lower(): GPCodec(name) for name in GP_CODECS},
-    "gorilla": GorillaCodec(), "chimp": ChimpCodec(),
-}
-
-
-def _stream(codec: str):
-    try:
-        return _CODECS[codec]
-    except KeyError:
-        raise ValueError(f"unknown codec {codec!r}") from None
-
 
 def encode_block(values: np.ndarray, codec: str) -> bytes:
-    values = np.asarray(values, dtype=np.int64)
-    stream = _stream(codec)
-    if stream is None:
-        return NeaTS.compress(values, variant=codec).to_bytes()
-    return stream.compress(values.view(np.uint64) if stream.domain == "bits" else values)
+    """The payload of one block: ``values`` compressed by the NeaTS variant
+    ``codec``.  Raises ``ValueError`` for another ``codec`` and
+    :class:`OutOfDomainError` for values that do not cast to int64 safely
+    (floats, uint64)."""
+    return NeaTS.compress(values, variant=codec).to_bytes()
 
 
 def decode_block(payload: bytes, codec: str, n: int) -> np.ndarray:
@@ -102,26 +85,15 @@ def decode_block(payload: bytes, codec: str, n: int) -> np.ndarray:
 
 def _read(payload: bytes, codec: str, n: int, part) -> np.ndarray:
     """Positions ``part`` (a slice or an array of offsets) of one block of
-    ``n`` values.  NeaTS payloads decode only those, by ``NeaTS.scan``
-    (Section IV-C4) or Algorithm 3 (``NeaTS.access_many``); a stream
-    payload is decoded whole.  A payload that holds other than the row's
-    ``n`` values, or that its stream codec rejects (pyarrow's ``OSError``,
-    ``lzma.LZMAError`` for Xz, ``ValueError``), raises
+    ``n`` values, decoded by ``NeaTS.scan`` (Section IV-C4) or Algorithm 3
+    (``NeaTS.access_many``).  A row whose ``codec`` is not a NeaTS variant,
+    or whose payload holds other than ``n`` values, raises
     :class:`CorruptPayloadError`."""
-    stream = _stream(codec)
-    if stream is None:
-        view = NeaTS.from_bytes(payload)
-        count = view.n
-    else:
-        try:
-            values = stream.decompress(bytes(payload), n)
-        except (OSError, ValueError, lzma.LZMAError) as e:
-            raise CorruptPayloadError(f"the row says {n} values, its {codec} payload: {e}") from e
-        count = len(values)
-    if count != n:
-        raise CorruptPayloadError(f"the row says {n} values, its {codec} payload holds {count}")
-    if stream is not None:
-        return values.view(np.int64)[part]
+    if codec not in VARIANTS:
+        raise CorruptPayloadError(f"a {codec!r} row: the store holds NeaTS payloads ({', '.join(VARIANTS)})")
+    view = NeaTS.from_bytes(payload)
+    if view.n != n:
+        raise CorruptPayloadError(f"the row says {n} values, its {codec} payload holds {view.n}")
     if isinstance(part, slice):
         return view.scan(part.start, part.stop)
     return view.access_many(part)
@@ -139,8 +111,17 @@ def compress_to_blocks(
     runs the NeaTS encoder on its sorted values — the per-partition custom
     encoder pattern.  A block is read back as ``start_idx + arange(n)``, so
     a block whose ``idx`` values are not consecutive (a gap or a duplicate)
-    raises ``ValueError``.
+    raises ``ValueError``.  On the driver, before any job: a ``codec`` that
+    is not a NeaTS variant raises ``ValueError``, and an ``idx`` or ``y``
+    column of other than an integral type raises :class:`OutOfDomainError`
+    (the cast to long would truncate it).
     """
+    if codec not in VARIANTS:
+        raise ValueError(f"unknown codec {codec!r}: one of {', '.join(VARIANTS)}")
+    for name in ("idx", "y"):
+        kind = df.schema[name].dataType
+        if not isinstance(kind, IntegralType):
+            raise OutOfDomainError(f"column {name} is {kind.simpleString()}, not an integral type")
     idx = F.col("idx").cast("long")
     src = df.select(
         idx.alias("idx"),
@@ -199,9 +180,9 @@ def random_access(blocks: DataFrame, keys: DataFrame) -> DataFrame:
 def range_query(blocks: DataFrame, lo: int, hi: int) -> DataFrame:
     """Range scan ``[lo, hi)``: a block starting at ``start`` with ``n``
     values yields its positions ``[max(lo - start, 0), min(hi - start,
-    n))``, through ``NeaTS.scan`` (Section IV-C4) for NeaTS payloads.  The
-    selection runs only in the executor: no Spark filter carries ``lo`` or
-    ``hi``, so a new range compiles no new code (DESIGN.md §6)."""
+    n))``, through ``NeaTS.scan`` (Section IV-C4).  The selection runs only
+    in the executor: no Spark filter carries ``lo`` or ``hi``, so a new range
+    compiles no new code (DESIGN.md §6)."""
     lo, hi = int(lo), int(hi)
 
     def pick(start: int, n: int):

@@ -2,12 +2,13 @@
 
 Writes the block DataFrame produced by ``codec.compress_to_blocks`` to
 Parquet (one NeaTS payload per row, with its ``start_idx``/``n``
-metadata), and reads it back for range scans (in-block ``NeaTS.scan``)
-and point lookups (in-block random access, no join), each one scan of
-the store and one ``mapInPandas``.  A JVM DataSourceV2 file format is out
-of scope (see DESIGN.md §6); this store keeps the access pattern the
-paper's evaluation exercises: per-page decode of the touched pages +
-random access.
+metadata and, in ``codec``, the variant that wrote it), and reads it back
+for range scans (in-block ``NeaTS.scan``) and point lookups (in-block
+random access, no join), each one scan of the store and one
+``mapInPandas``.  A row of another codec fails the read.  A JVM
+DataSourceV2 file format is out of scope (see DESIGN.md §6); this store
+keeps the access pattern the paper's evaluation exercises: per-page
+decode of the touched pages + random access.
 """
 from __future__ import annotations
 
