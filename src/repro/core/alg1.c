@@ -16,7 +16,7 @@
  * Parameters are returned as the solver's (m, b); the caller maps them
  * through Family.params_from_mb, as the reference does.
  */
-#define _GNU_SOURCE /* sched_getaffinity, CPU_COUNT */
+#define _GNU_SOURCE /* sched_getaffinity, sched_getcpu, pthread_attr_setaffinity_np */
 #include <math.h>
 #include <pthread.h>
 #include <sched.h>
@@ -321,12 +321,22 @@ static void *fit_pairs(void *arg)
     return NULL;
 }
 
-/* min(CPUs this thread may run on, npairs), at least 1. */
-static long fit_threads(long npairs)
+/* min(CPUs this thread may run on, npairs), at least 1.  When there are
+ * other CPUs, *attr is set to create the workers on those CPUs only: where
+ * the scheduler does not balance load (a cpuset with sched_load_balance =
+ * 0), a new thread stays on its creator's CPU and the workers would run
+ * one after another.  The caller itself stays unpinned. */
+static long fit_threads(long npairs, pthread_attr_t *attr)
 {
     cpu_set_t set;
     long cpus = sched_getaffinity(0, sizeof set, &set) == 0 ? CPU_COUNT(&set) : 1;
-    return npairs < 1 ? 1 : cpus < npairs ? cpus : npairs;
+    long nthreads = npairs < 1 ? 1 : cpus < npairs ? cpus : npairs;
+    int self = sched_getcpu();
+    if (nthreads > 1 && self >= 0 && CPU_ISSET(self, &set)) {
+        CPU_CLR(self, &set);
+        pthread_attr_setaffinity_np(attr, sizeof set, &set);
+    }
+    return nthreads;
 }
 
 /* Algorithm 1 over ys[0, n) and the (kind, eps) pairs.  An edge (i, j) of
@@ -351,7 +361,9 @@ long neats_alg1(const int64_t *ys, long n, const int32_t *kinds, const uint64_t 
     edge *prev = malloc((n + 1) * sizeof *prev);
     long *next = calloc(np, sizeof *next), *start = calloc(np, sizeof *start);
     tile *cur = calloc(np, sizeof *cur); /* end = 0: every pair refreshes at k = 0 */
-    long nthreads = fit_threads(npairs), started = 0;
+    pthread_attr_t attr;
+    int have_attr = pthread_attr_init(&attr) == 0;
+    long nthreads = have_attr ? fit_threads(npairs, &attr) : 1, started = 0;
     pthread_t *threads = malloc(nthreads * sizeof *threads);
     if (!job.tiles || !dist || !prev || !next || !start || !cur || !threads)
         goto out;
@@ -359,7 +371,7 @@ long neats_alg1(const int64_t *ys, long n, const int32_t *kinds, const uint64_t 
     /* phase 1: the calling thread is worker 0 */
     atomic_init(&job.next, 0);
     atomic_init(&job.failed, 0);
-    while (started < nthreads - 1 && pthread_create(&threads[started], NULL, fit_pairs, &job) == 0)
+    while (started < nthreads - 1 && pthread_create(&threads[started], &attr, fit_pairs, &job) == 0)
         started++;
     fit_pairs(&job);
     for (long t = 0; t < started; t++)
@@ -430,5 +442,7 @@ out:
     free(start);
     free(cur);
     free(threads);
+    if (have_attr)
+        pthread_attr_destroy(&attr);
     return ret;
 }

@@ -6,8 +6,12 @@ fixture); ``get_spark`` builds an equivalent local session for standalone
 """
 from __future__ import annotations
 
+import atexit
+import functools
 import json
 import os
+import shutil
+import tempfile
 from pathlib import Path
 
 from pyspark.sql import SparkSession
@@ -15,7 +19,21 @@ from pyspark.sql import SparkSession
 __all__ = ["get_spark", "results_dir", "dump_json", "fan_out"]
 
 
+@functools.cache
+def _socket_dir() -> str:
+    """A private directory for the sockets of Spark's Python workers, one
+    per process, removed at interpreter exit.  It is made under ``/tmp``
+    and not under ``TMPDIR``: a socket path holds at most 108 bytes
+    (``sun_path``), which a deep ``TMPDIR`` would pass."""
+    path = tempfile.mkdtemp(prefix="repro-spark-", dir="/tmp")
+    atexit.register(shutil.rmtree, path, ignore_errors=True)
+    return path
+
+
 def get_spark(app: str = "repro-job") -> SparkSession:
+    """The local session of the jobs.  The JVM talks to its Python workers
+    over a Unix domain socket, where loopback TCP costs ~40 ms per job in
+    the worker round trip (DESIGN.md §6)."""
     return (
         SparkSession.builder.appName(app)
         .master(os.environ.get("SPARK_MASTER", "local[*]"))
@@ -23,6 +41,8 @@ def get_spark(app: str = "repro-job") -> SparkSession:
         .config("spark.ui.enabled", "false")
         .config("spark.sql.shuffle.partitions", "64")
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+        .config("spark.python.unix.domain.socket.enabled", "true")
+        .config("spark.python.unix.domain.socket.dir", _socket_dir())
         .getOrCreate()
     )
 

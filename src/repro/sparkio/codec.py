@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import sys
 import zipimport
+from functools import partial
 from typing import Iterator
 
 import numpy as np
@@ -57,8 +58,10 @@ def _install_lazy_zip_invalidate() -> None:
     ``sys.path_importer_cache`` then re-reads its whole archive directory
     (prefixes of ``pyspark.zip``, the spark-core jar, py4j): most of Spark's
     per-task floor on a reused worker.  The executor functions of this
-    module reference its globals, so a worker imports it while unpickling
-    its first task and skips the re-reads from the next task on.  What this
+    module are module-level functions, which a task pickles by reference,
+    so a worker imports it while unpickling its first task and skips the
+    re-reads from the next task on.  A worker that never runs one of them
+    keeps the eager body.  What this
     gives up: an importer does not re-index a zip rewritten in place while
     the worker lives (Python's behaviour before 3.10); an archive added
     later has a new path and gets a new importer.  The driver and
@@ -107,9 +110,10 @@ def compress_to_blocks(
 ) -> DataFrame:
     """Compress ``(idx, y)`` rows into per-block binary payloads.
 
-    The groupBy shuffles rows to the executor owning each block, which then
-    runs the NeaTS encoder on its sorted values — the per-partition custom
-    encoder pattern.  A block is read back as ``start_idx + arange(n)``, so
+    Row ``idx`` goes to block ``idx DIV block_size`` (integer division,
+    truncating toward zero).  The groupBy shuffles rows to the executor
+    owning each block, which then runs the NeaTS encoder on its sorted
+    values — the per-partition custom encoder pattern.  A block is read back as ``start_idx + arange(n)``, so
     a block whose ``idx`` values are not consecutive (a gap or a duplicate)
     raises ``ValueError``.  On the driver, before any job: a ``codec`` that
     is not a NeaTS variant raises ``ValueError``, and an ``idx`` or ``y``
@@ -122,31 +126,31 @@ def compress_to_blocks(
         kind = df.schema[name].dataType
         if not isinstance(kind, IntegralType):
             raise OutOfDomainError(f"column {name} is {kind.simpleString()}, not an integral type")
-    idx = F.col("idx").cast("long")
-    src = df.select(
-        idx.alias("idx"),
-        F.col("y").cast("long").alias("y"),
-        (idx / F.lit(block_size)).cast("long").alias("block_id"),
+    src = df.selectExpr("CAST(idx AS BIGINT) AS idx", "CAST(y AS BIGINT) AS y",
+                        f"CAST(idx AS BIGINT) DIV {int(block_size)} AS block_id")
+    return src.groupBy("block_id").applyInPandas(partial(_encode, codec), schema=BLOCK_SCHEMA)
+
+
+def _encode(codec, pdf):
+    """One block's row of :data:`BLOCK_SCHEMA`, from its ``(idx, y,
+    block_id)`` rows in any order.  Not annotated: ``applyInPandas`` would
+    read the hints with ``typing.get_type_hints``, which refuses a
+    ``partial``, and warn."""
+    pdf = pdf.sort_values("idx")
+    vals = pdf["y"].to_numpy(dtype=np.int64)
+    bid = int(pdf["block_id"].iloc[0])
+    idx = pdf["idx"].to_numpy(dtype=np.int64)
+    if not np.array_equal(idx, np.arange(idx[0], idx[0] + len(idx))):
+        raise ValueError(f"block {bid}: its idx values are not consecutive from {idx[0]}")
+    return pd.DataFrame(
+        {
+            "block_id": [bid],
+            "start_idx": [int(idx[0])],
+            "n": [len(vals)],
+            "codec": [codec],
+            "payload": [encode_block(vals, codec)],
+        }
     )
-
-    def _encode(pdf: pd.DataFrame) -> pd.DataFrame:
-        pdf = pdf.sort_values("idx")
-        vals = pdf["y"].to_numpy(dtype=np.int64)
-        bid = int(pdf["block_id"].iloc[0])
-        idx = pdf["idx"].to_numpy(dtype=np.int64)
-        if not np.array_equal(idx, np.arange(idx[0], idx[0] + len(idx))):
-            raise ValueError(f"block {bid}: its idx values are not consecutive from {idx[0]}")
-        return pd.DataFrame(
-            {
-                "block_id": [bid],
-                "start_idx": [int(idx[0])],
-                "n": [len(vals)],
-                "codec": [codec],
-                "payload": [encode_block(vals, codec)],
-            }
-        )
-
-    return src.groupBy("block_id").applyInPandas(_encode, schema=BLOCK_SCHEMA)
 
 
 _DECODED_SCHEMA = StructType([
@@ -158,7 +162,7 @@ _DECODED_SCHEMA = StructType([
 def decompress_blocks(blocks: DataFrame) -> DataFrame:
     """Inverse of :func:`compress_to_blocks`: back to ``(idx, y)`` rows,
     every position of every block."""
-    return _select(blocks, lambda start, n: slice(0, n))
+    return _select(blocks, _pick_all)
 
 
 def random_access(blocks: DataFrame, keys: DataFrame) -> DataFrame:
@@ -169,12 +173,7 @@ def random_access(blocks: DataFrame, keys: DataFrame) -> DataFrame:
     call (``NeaTS.access_many``): no join, no shuffle, no block size to know."""
     rows = keys.select(F.col("idx").cast("long").alias("idx")).dropna().collect()
     ks = np.sort(np.array([r[0] for r in rows], dtype=np.int64))
-
-    def pick(start: int, n: int):
-        a, b = np.searchsorted(ks, [start, start + n])
-        return ks[a:b] - start if a < b else None
-
-    return _select(blocks, pick)
+    return _select(blocks, partial(_pick_keys, ks))
 
 
 def range_query(blocks: DataFrame, lo: int, hi: int) -> DataFrame:
@@ -183,30 +182,41 @@ def range_query(blocks: DataFrame, lo: int, hi: int) -> DataFrame:
     n))``, through ``NeaTS.scan`` (Section IV-C4).  The selection runs only
     in the executor: no Spark filter carries ``lo`` or ``hi``, so a new range
     compiles no new code (DESIGN.md §6)."""
-    lo, hi = int(lo), int(hi)
+    return _select(blocks, partial(_pick_range, int(lo), int(hi)))
 
-    def pick(start: int, n: int):
-        a, b = max(lo - start, 0), min(hi - start, n)
-        return slice(a, b) if a < b else None
 
-    return _select(blocks, pick)
+# The pick functions of the three reads: given a block's ``start`` and ``n``,
+# the offsets to decode (a slice, an array of offsets, or ``None``).
+def _pick_all(start: int, n: int):
+    return slice(0, n)
+
+
+def _pick_keys(ks: np.ndarray, start: int, n: int):
+    a, b = np.searchsorted(ks, [start, start + n])
+    return ks[a:b] - start if a < b else None
+
+
+def _pick_range(lo: int, hi: int, start: int, n: int):
+    a, b = max(lo - start, 0), min(hi - start, n)
+    return slice(a, b) if a < b else None
 
 
 def _select(blocks: DataFrame, pick) -> DataFrame:
     """The one executor read: per block row, ``pick(start, n)`` gives the
-    offsets to decode (a slice, an array of offsets, or ``None`` for none),
-    which the block yields as ``(idx, y)`` rows."""
+    offsets to decode, which the block yields as ``(idx, y)`` rows.  The
+    executor function and ``pick`` are module-level functions bound by
+    ``functools.partial``, so a task pickles them by reference."""
+    return blocks.mapInPandas(partial(_select_batches, pick), schema=_DECODED_SCHEMA)
 
-    def select(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in batches:
-            idxs, ys = [], []
-            for start, n, codec, payload in zip(pdf["start_idx"].tolist(), pdf["n"].tolist(),
-                                                 pdf["codec"], pdf["payload"]):
-                part = pick(start, n)
-                if part is not None:
-                    ys.append(_read(payload, codec, n, part))
-                    idxs.append(np.arange(start, start + n, dtype=np.int64)[part])
-            if idxs:
-                yield pd.DataFrame({"idx": np.concatenate(idxs), "y": np.concatenate(ys)})
 
-    return blocks.mapInPandas(select, schema=_DECODED_SCHEMA)
+def _select_batches(pick, batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+    for pdf in batches:
+        idxs, ys = [], []
+        for start, n, codec, payload in zip(pdf["start_idx"].tolist(), pdf["n"].tolist(),
+                                             pdf["codec"], pdf["payload"]):
+            part = pick(start, n)
+            if part is not None:
+                ys.append(_read(payload, codec, n, part))
+                idxs.append(np.arange(start, start + n, dtype=np.int64)[part])
+        if idxs:
+            yield pd.DataFrame({"idx": np.concatenate(idxs), "y": np.concatenate(ys)})

@@ -239,23 +239,34 @@ class TestKernelThreads:
         assert (_outcome(optimal_partition, ys, families, eps, lossy=lossy)
                 == _outcome(optimal_partition_reference, ys, families, eps, lossy=lossy))
 
-    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
-    def test_one_cpu_same_payloads(self):
+    @staticmethod
+    def assert_pinned_payloads(ncpu):
         """1 024-point blocks of the 16 sets compress to the same bytes in a
-        process pinned to one CPU (one thread) as in this one."""
-        code = ("import hashlib, os, sys; os.sched_setaffinity(0, {int(sys.argv[1])}); "
+        process pinned to ``ncpu`` CPUs as in this one."""
+        code = ("import hashlib, os, sys; os.sched_setaffinity(0, map(int, sys.argv[1:])); "
                 "from repro.core.neats import NeaTS; from repro.tsdata import DATASETS, load; "
                 "print(len(os.sched_getaffinity(0))); "
                 "[print(hashlib.sha256(NeaTS.compress(load(d, n=2048).ints[b:b + 1024])"
                 ".to_bytes()).hexdigest()) for d in DATASETS for b in (0, 1024)]")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        out = subprocess.run([sys.executable, "-c", code, str(min(os.sched_getaffinity(0)))],
+        cpus = sorted(os.sched_getaffinity(0))[:ncpu]
+        out = subprocess.run([sys.executable, "-c", code, *map(str, cpus)],
                              env=env, capture_output=True, text=True, timeout=300, check=True)
         pinned = out.stdout.split()
         here = [hashlib.sha256(NeaTS.compress(load(d, n=2048).ints[b:b + 1024]).to_bytes())
                 .hexdigest() for d in DATASETS for b in (0, 1024)]
-        assert pinned[0] == "1"
+        assert pinned[0] == str(ncpu)
         assert pinned[1:] == here
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+    def test_one_cpu_same_payloads(self):
+        """One CPU: the caller fits every pair, no thread is made."""
+        self.assert_pinned_payloads(1)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or _cpus() < 2, reason="needs 2 CPUs")
+    def test_two_cpus_same_payloads(self):
+        """Two CPUs: one worker thread, made on the CPU the caller is not on."""
+        self.assert_pinned_payloads(2)
 
 
 class TestKernelBuild:

@@ -3,6 +3,7 @@ range queries — query results verified against the DuckDB oracle over the
 original uncompressed data — and the worker-only lazy zip invalidation."""
 import importlib
 import os
+import pickle
 import re
 import sys
 import zipfile
@@ -13,7 +14,7 @@ import pandas as pd
 import pytest
 from pyspark import TaskContext
 from pyspark.errors import PythonException
-from pyspark.sql import functions as F
+from pyspark.sql import GroupedData, functions as F
 
 from repro.baselines.gp import GPCodec
 from repro.core.neats import VARIANTS, CorruptPayloadError
@@ -126,6 +127,59 @@ class TestIngestIdx:
         df = spark.createDataFrame(pd.DataFrame({"idx": idx, "y": [10, 20, 30, 40]}))
         with pytest.raises(PythonException, match=r"ValueError: block \d+: its idx values are not consecutive"):
             compress_to_blocks(df, codec=codec, block_size=4).collect()
+
+
+class TestIngestBlockIds:
+    """``block_id`` is ``idx DIV block_size`` in integers: a double division
+    would move the block edges past 2**53."""
+
+    def test_blocks_past_2_53(self, spark):
+        start, size = 2**60 - 4096, 4096
+        idx = np.arange(start, start + 3 * size, dtype=np.int64)
+        ys = np.random.default_rng(5).integers(-1000, 1000, len(idx))
+        blocks = compress_to_blocks(spark.createDataFrame(pd.DataFrame({"idx": idx, "y": ys})), block_size=size)
+        rows = blocks.orderBy("block_id").collect()
+        assert [(r.block_id, r.start_idx, r.n) for r in rows] == [
+            (start // size + b, start + b * size, size) for b in range(3)]
+        got = decompress_blocks(blocks).toPandas().sort_values("idx")
+        assert np.array_equal(got["idx"], idx) and np.array_equal(got["y"], ys)
+
+
+class TestExecutorFunctions:
+    """What the reads and the ingest hand to Spark are module-level
+    functions bound by ``functools.partial``: they pickle by reference with
+    the standard ``pickle``, which refuses closures."""
+
+    class Capture:
+        def mapInPandas(self, fn, schema):
+            return fn
+
+    @staticmethod
+    def rows(fn):
+        """The rows ``fn`` yields for one batch of two block rows."""
+        batch = pd.DataFrame({"start_idx": [0, 100], "n": [100, 50], "codec": ["neats", "sneats"],
+                              "payload": [encode_block(np.arange(100) * 3, "neats"),
+                                          encode_block(np.arange(50) - 7, "sneats")]})
+        return pd.concat(fn(iter([batch]))).values.tolist()
+
+    def test_reads_pickle(self, spark):
+        keys = spark.createDataFrame([(3,), (120,), (500,)], "idx long")
+        reads = {"range": (range_query(self.Capture(), 98, 103), [[98, 294], [99, 297], [100, -7], [101, -6],
+                                                                   [102, -5]]),
+                 "keys": (random_access(self.Capture(), keys), [[3, 9], [120, 13]]),
+                 "all": (decompress_blocks(self.Capture()), [[i, 3 * i] for i in range(100)]
+                         + [[100 + i, i - 7] for i in range(50)])}
+        for name, (fn, expect) in reads.items():
+            shipped = pickle.loads(pickle.dumps(fn))
+            assert self.rows(fn) == self.rows(shipped) == expect, name
+
+    def test_encode_pickles(self, spark, monkeypatch):
+        monkeypatch.setattr(GroupedData, "applyInPandas", lambda self, fn, schema: fn)
+        df = spark.createDataFrame([(0, 1)], "idx long, y long")
+        fn = pickle.loads(pickle.dumps(compress_to_blocks(df, codec="leats")))
+        row = fn(pd.DataFrame({"idx": [11, 10], "y": [5, 4], "block_id": [2, 2]})).iloc[0]
+        assert (row.block_id, row.start_idx, row.n, row.codec) == (2, 10, 2, "leats")
+        assert np.array_equal(decode_block(row.payload, "leats", 2), [4, 5])
 
 
 class TestIngestDomain:
