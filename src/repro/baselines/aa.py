@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from ..core.lossy import NeaTSLossy
-from ..core.partition import Piece
+from ..core.partition import Piece, as_int64
 
 __all__ = ["AA"]
 
@@ -79,7 +79,8 @@ def _extend_anchored(ys: np.ndarray, i: int, eps: float, kind: str) -> tuple[int
 class AA(NeaTSLossy):
     @classmethod
     def compress(cls, values, eps: int) -> "AA":
-        ys = np.asarray(values, dtype=np.float64)
+        """Raises :class:`OutOfDomainError`, as NeaTS-L and PLA do, for values that int64 does not hold."""
+        ys = as_int64(values).astype(np.float64)
         n = len(ys)
         pieces: list[Piece] = []
         i = 0

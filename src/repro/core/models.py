@@ -22,8 +22,9 @@ Conventions
 * ``y`` values are int64 and, for families flagged ``requires_positive``, the
   encoder guarantees ``y - eps > 0`` via a global shift stored in the header
   (footnote 2 of the paper; :func:`repro.core.partition.positivity_shift`).
-* ``FragmentFitter`` drives a :class:`repro.core.convex.SegmentStabber` and is
-  the ``MakeApproximation`` primitive of Algorithm 1.
+* ``FragmentFitter`` drives a :class:`repro.core.convex.SegmentStabber`: it
+  is the tests' reference for the kernel's ``MakeApproximation`` of
+  Algorithm 1, which ``alg1.c`` implements.
 """
 from __future__ import annotations
 
@@ -182,10 +183,11 @@ def family_by_kind(kind: str) -> Family:
 class FragmentFitter:
     """Greedy longest-fragment fitter for one ``(family, eps)`` pair.
 
-    This is ``MakeApproximation`` from Algorithm 1: create it at a start
-    index, feed points left to right with :meth:`try_extend`, and when it
-    refuses a point the fragment is maximal; :meth:`params` returns the
-    fitted function parameters valid for the whole accepted fragment.
+    The tests' reference for ``MakeApproximation`` from Algorithm 1, which
+    the C kernel runs: create it at a start index, feed points left to
+    right with :meth:`try_extend`, and when it refuses a point the fragment
+    is maximal; :meth:`params` returns the fitted function parameters valid
+    for the whole accepted fragment.
     """
 
     def __init__(self, family: Family, eps: int) -> None:

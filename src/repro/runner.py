@@ -33,7 +33,8 @@ def _socket_dir() -> str:
 def get_spark(app: str = "repro-job") -> SparkSession:
     """The local session of the jobs.  The JVM talks to its Python workers
     over a Unix domain socket, where loopback TCP costs ~40 ms per job in
-    the worker round trip (DESIGN.md §6)."""
+    the worker round trip, and the workers fork from ``sparkio.daemon``,
+    which spares them the per-task zip re-reads (DESIGN.md §6)."""
     return (
         SparkSession.builder.appName(app)
         .master(os.environ.get("SPARK_MASTER", "local[*]"))
@@ -43,6 +44,7 @@ def get_spark(app: str = "repro-job") -> SparkSession:
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.python.unix.domain.socket.enabled", "true")
         .config("spark.python.unix.domain.socket.dir", _socket_dir())
+        .config("spark.python.daemon.module", "repro.sparkio.daemon")
         .getOrCreate()
     )
 

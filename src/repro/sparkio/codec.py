@@ -16,14 +16,12 @@ their 1000-value blocks from ``baselines/blockstore.py``, for Table III.
 """
 from __future__ import annotations
 
-import sys
-import zipimport
+import operator
 from functools import partial
 from typing import Iterator
 
 import numpy as np
 import pandas as pd
-from pyspark import TaskContext
 from pyspark.sql import DataFrame, functions as F
 from pyspark.sql.types import (
     BinaryType, IntegralType, LongType, StringType, StructField, StructType,
@@ -41,37 +39,6 @@ BLOCK_SCHEMA = StructType([
     StructField("codec", StringType(), False),
     StructField("payload", BinaryType(), False),
 ])
-
-
-def _lazy_zip_invalidate(self) -> None:
-    """CPython 3.13's ``zipimporter.invalidate_caches``: forget the cached
-    directory of the archive instead of reading it again now."""
-    zipimport._zip_directory_cache.pop(self.archive, None)
-
-
-def _install_lazy_zip_invalidate() -> None:
-    """Inside a Spark Python worker on CPython < 3.13, make
-    ``zipimporter.invalidate_caches`` lazy, as 3.13 does.
-
-    Before every task, ``pyspark.worker_util.setup_spark_files`` calls
-    ``importlib.invalidate_caches()``, and on 3.11 each ``zipimporter`` in
-    ``sys.path_importer_cache`` then re-reads its whole archive directory
-    (prefixes of ``pyspark.zip``, the spark-core jar, py4j): most of Spark's
-    per-task floor on a reused worker.  The executor functions of this
-    module are module-level functions, which a task pickles by reference,
-    so a worker imports it while unpickling its first task and skips the
-    re-reads from the next task on.  A worker that never runs one of them
-    keeps the eager body.  What this
-    gives up: an importer does not re-index a zip rewritten in place while
-    the worker lives (Python's behaviour before 3.10); an archive added
-    later has a new path and gets a new importer.  The driver and
-    in-process callers have no ``TaskContext`` and are left alone.
-    """
-    if sys.version_info < (3, 13) and TaskContext.get() is not None:
-        zipimport.zipimporter.invalidate_caches = _lazy_zip_invalidate
-
-
-_install_lazy_zip_invalidate()
 
 
 def encode_block(values: np.ndarray, codec: str) -> bytes:
@@ -122,13 +89,19 @@ def compress_to_blocks(
     """
     if codec not in VARIANTS:
         raise ValueError(f"unknown codec {codec!r}: one of {', '.join(VARIANTS)}")
-    for name in ("idx", "y"):
-        kind = df.schema[name].dataType
-        if not isinstance(kind, IntegralType):
-            raise OutOfDomainError(f"column {name} is {kind.simpleString()}, not an integral type")
+    _require_integral(df, "idx", "y")
     src = df.selectExpr("CAST(idx AS BIGINT) AS idx", "CAST(y AS BIGINT) AS y",
                         f"CAST(idx AS BIGINT) DIV {int(block_size)} AS block_id")
     return src.groupBy("block_id").applyInPandas(partial(_encode, codec), schema=BLOCK_SCHEMA)
+
+
+def _require_integral(df: DataFrame, *names: str) -> None:
+    """Raise :class:`OutOfDomainError` for a column of ``df`` named in
+    ``names`` whose type is not integral: the cast to long would truncate it."""
+    for name in names:
+        kind = df.schema[name].dataType
+        if not isinstance(kind, IntegralType):
+            raise OutOfDomainError(f"column {name} is {kind.simpleString()}, not an integral type")
 
 
 def _encode(codec, pdf):
@@ -170,7 +143,10 @@ def random_access(blocks: DataFrame, keys: DataFrame) -> DataFrame:
     a block holds (duplicates repeat, nulls match nothing).  The keys are
     collected on the driver, so a batch is meant to be a few dozen keys; each
     block answers those inside its own extent with one batched Algorithm 3
-    call (``NeaTS.access_many``): no join, no shuffle, no block size to know."""
+    call (``NeaTS.access_many``): no join, no shuffle, no block size to know.
+    A ``keys.idx`` of other than an integral type raises
+    :class:`OutOfDomainError` on the driver, before any job."""
+    _require_integral(keys, "idx")
     rows = keys.select(F.col("idx").cast("long").alias("idx")).dropna().collect()
     ks = np.sort(np.array([r[0] for r in rows], dtype=np.int64))
     return _select(blocks, partial(_pick_keys, ks))
@@ -181,8 +157,9 @@ def range_query(blocks: DataFrame, lo: int, hi: int) -> DataFrame:
     values yields its positions ``[max(lo - start, 0), min(hi - start,
     n))``, through ``NeaTS.scan`` (Section IV-C4).  The selection runs only
     in the executor: no Spark filter carries ``lo`` or ``hi``, so a new range
-    compiles no new code (DESIGN.md §6)."""
-    return _select(blocks, partial(_pick_range, int(lo), int(hi)))
+    compiles no new code (DESIGN.md §6).  A bound that is not an integer
+    (a float) raises ``TypeError``."""
+    return _select(blocks, partial(_pick_range, operator.index(lo), operator.index(hi)))
 
 
 # The pick functions of the three reads: given a block's ``start`` and ``n``,

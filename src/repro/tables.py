@@ -6,15 +6,13 @@ from ``repro``, which is on every worker's path, whereas ``jobs/`` is not.
 """
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from .baselines.aa import AA
 from .baselines.pla import PLA
 from .core.lossy import NeaTSLossy, mape
 from .core.neats import NeaTS
-from .harness import ALL_LOSSLESS, measure
+from .harness import ALL_LOSSLESS, _median_time, measure
 from .tsdata import load
 
 __all__ = ["pick_eps", "table2_run_dataset", "table3_run_dataset"]
@@ -32,7 +30,9 @@ def pick_eps(ints: np.ndarray, lossless_bytes: int) -> int:
 
 
 def table2_run_dataset(name: str, n: int | None) -> list[dict]:
-    """AA vs PLA vs NeaTS-L on one dataset at the protocol-selected eps."""
+    """AA vs PLA vs NeaTS-L on one dataset at the protocol-selected eps.
+    Each compression and reconstruction time is the median of
+    ``harness._REPEATS`` runs, as in Table III."""
     ts = load(name, n=n)
     ints = ts.ints
     orig = ts.original_bytes
@@ -42,12 +42,8 @@ def table2_run_dataset(name: str, n: int | None) -> list[dict]:
     mb = orig / 1e6
     r = {"dataset": name, "eps": int(eps), "eps_pct": 100.0 * eps / max(1, ts.value_range)}
     for key, ratio_key, cls in (("aa", "aa", AA), ("pla", "pla", PLA), ("nl", "neats_l", NeaTSLossy)):
-        t0 = time.perf_counter()
-        obj = cls.compress(ints, eps)
-        t_comp = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        approx = obj.approximate()
-        t_dec = time.perf_counter() - t0
+        obj, t_comp = _median_time(lambda: cls.compress(ints, eps))
+        approx, t_dec = _median_time(obj.approximate)
         err = float(np.max(np.abs(approx - ints)))
         assert err <= eps + 1e-6, (name, key, err, eps)
         r[ratio_key] = 100.0 * obj.size_bytes / orig

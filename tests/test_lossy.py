@@ -131,12 +131,11 @@ class TestDomain:
     @pytest.mark.parametrize("values", [[1.5, 2.7, 3.9, 10.2], np.asarray([1, 2**64 - 1], dtype=np.uint64)],
                              ids=["float", "uint64"])
     def test_not_int64_is_out_of_domain(self, values):
-        """NeaTS-L and PLA refuse a series that int64 does not hold exactly,
-        instead of approximating its truncated or wrapped values."""
-        with pytest.raises(OutOfDomainError, match="int64"):
-            NeaTSLossy.compress(values, 4)
-        with pytest.raises(OutOfDomainError, match="int64"):
-            PLA.compress(values, 4)
+        """NeaTS-L, PLA and AA refuse a series that int64 does not hold
+        exactly, instead of approximating its truncated or wrapped values."""
+        for cls in (NeaTSLossy, PLA, AA):
+            with pytest.raises(OutOfDomainError, match="int64"):
+                cls.compress(values, 4)
 
     def test_no_family_is_out_of_domain(self):
         with pytest.raises(OutOfDomainError, match="pair"):

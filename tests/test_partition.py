@@ -302,7 +302,6 @@ class TestKernelBuild:
         assert outs[0] == outs[1]
         assert os.listdir(tmp_path) == [os.path.basename(outs[0])]
 
-
     def test_sources_compile_without_warnings(self, tmp_path):
         """The library's sources build under its own flags with -Wall
         -Wextra -Werror."""

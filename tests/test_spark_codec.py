@@ -1,10 +1,12 @@
 """Spark per-partition codec: block compression, decoding, random access,
 range queries — query results verified against the DuckDB oracle over the
-original uncompressed data — and the worker-only lazy zip invalidation."""
+original uncompressed data — and the lazy zip invalidation that the
+workers get from their daemon."""
 import importlib
 import os
 import pickle
 import re
+import runpy
 import sys
 import zipfile
 import zipimport
@@ -12,7 +14,6 @@ import zipimport
 import numpy as np
 import pandas as pd
 import pytest
-from pyspark import TaskContext
 from pyspark.errors import PythonException
 from pyspark.sql import GroupedData, functions as F
 
@@ -20,7 +21,7 @@ from repro.baselines.gp import GPCodec
 from repro.core.neats import VARIANTS, CorruptPayloadError
 from repro.core.partition import OutOfDomainError
 from repro.oracle import assert_equivalent
-from repro.sparkio import codec
+from repro.sparkio import daemon
 from repro.sparkio.codec import (
     BLOCK_SCHEMA, compress_to_blocks, decode_block, decompress_blocks, encode_block,
     random_access, range_query,
@@ -205,6 +206,37 @@ class TestIngestDomain:
             (0, 10), (1, -20), (2, 30)]
 
 
+class TestReadDomain:
+    """The reads refuse positions that they would truncate, as ingest does:
+    keys of a non-integral type on the driver, before any job, and range
+    bounds that are not integers (numpy integers are, see ``TestRangeTrim``)."""
+
+    @pytest.fixture(scope="class")
+    def path(self, neats_blocks, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("domain") / "store")
+        write_store(neats_blocks, path)
+        return path
+
+    @pytest.mark.parametrize("kind", ["double", "decimal(10,1)"])
+    def test_non_integral_keys_raise(self, spark, neats_blocks, path, kind):
+        keys = spark.createDataFrame([(1.9,), (2.5,), (1000.7,)], "idx double").selectExpr(
+            f"CAST(idx AS {kind}) AS idx")
+        for read in (lambda: random_access(neats_blocks, keys), lambda: point_lookup(spark, path, keys)):
+            with pytest.raises(OutOfDomainError, match=re.escape(f"column idx is {kind}, not an integral type")):
+                read()
+
+    def test_narrow_integral_keys(self, spark, neats_blocks, series):
+        keys = spark.createDataFrame([(5,), (600,)], "idx int")
+        assert sorted(random_access(neats_blocks, keys).collect()) == [(5, series.ints[5]), (600, series.ints[600])]
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, 10), (0, 9.5)])
+    def test_float_bounds_raise(self, spark, neats_blocks, path, lo, hi):
+        with pytest.raises(TypeError):
+            range_query(neats_blocks, lo, hi)
+        with pytest.raises(TypeError):
+            scan_range(spark, path, lo, hi)
+
+
 class TestBlocksPipeline:
     def test_block_layout(self, neats_blocks):
         rows = neats_blocks.orderBy("block_id").collect()
@@ -281,22 +313,30 @@ class TestBlocksPipeline:
 
     @pytest.mark.skipif(sys.version_info >= (3, 13), reason="zipimporter is lazy from CPython 3.13")
     def test_workers_run_lazy_zip_invalidate(self, spark, neats_blocks):
-        decompress_blocks(neats_blocks).collect()
-
-        def probe(batches):  # must not reference the codec module, which would install the shim
+        """Every worker runs the lazy body, whether or not it ran a codec
+        function: the daemon it forks from installed it as ``__main__``."""
+        def probe(batches):  # must not reference the codec module
             for _ in batches:
                 pass
             invalidate = zipimport.zipimporter.invalidate_caches
-            yield pd.DataFrame({
-                "codec_loaded": ["repro.sparkio.codec" in sys.modules],
-                "lazy": [invalidate.__module__ == "repro.sparkio.codec"
-                         and invalidate.__name__ == "_lazy_zip_invalidate"],
-            })
+            yield pd.DataFrame({"codec_loaded": ["repro.sparkio.codec" in sys.modules],
+                                "lazy": [invalidate.__name__ == "_lazy_zip_invalidate"]})
 
-        got = spark.range(0, 16, 1, 8).mapInPandas(probe, "codec_loaded boolean, lazy boolean").toPandas()
-        # a worker spawned for the probe alone has not loaded the codec and keeps the eager body
-        assert got["codec_loaded"].any()
-        assert (got["lazy"] == got["codec_loaded"]).all()
+        def run_probe():
+            return spark.range(0, 16, 1, 8).mapInPandas(probe, "codec_loaded boolean, lazy boolean").toPandas()
+
+        decompress_blocks(neats_blocks).collect()
+        got = [run_probe()]
+        # Another worker environment gets another daemon, whose workers have
+        # run the probe alone.
+        env = spark.sparkContext.environment
+        env["REPRO_PROBE_WORKERS"] = "fresh"
+        try:
+            fresh = run_probe()
+        finally:
+            del env["REPRO_PROBE_WORKERS"]
+        assert not fresh["codec_loaded"].any()
+        assert pd.concat([*got, fresh])["lazy"].all()
 
 
 class TestRangeTrim:
@@ -312,6 +352,7 @@ class TestRangeTrim:
         (N - 1, N),
         (2000, N - 100),  # ends inside the last, partial block
         (0, 2**63 - 1),  # ends at the largest int64
+        (np.int64(510), np.int32(514)),  # numpy integers
     ]
 
     @pytest.fixture(scope="class", params=["neats"])
@@ -392,8 +433,9 @@ class TestRangeTrim:
 
 
 class TestLazyZipInvalidate:
-    """``codec._install_lazy_zip_invalidate``: inside a Spark task on CPython
-    < 3.13, ``importlib.invalidate_caches()`` stops re-reading zip archives."""
+    """``daemon._lazy_zip_invalidate``, which ``repro.sparkio.daemon`` run as
+    ``__main__`` installs on CPython < 3.13: ``importlib.invalidate_caches()``
+    stops re-reading zip archives."""
 
     @pytest.fixture(autouse=True)
     def eager(self, monkeypatch):
@@ -410,13 +452,19 @@ class TestLazyZipInvalidate:
         return str(path)
 
     @staticmethod
-    def in_task(monkeypatch):
-        monkeypatch.setattr(TaskContext, "_taskContext", object())
+    def run_daemon(monkeypatch):
+        """Run the daemon module as Spark starts it, as ``__main__``, up to
+        ``pyspark.daemon.manager``, which is not started."""
+        import pyspark.daemon
 
-    def test_driver_is_untouched(self, eager):
-        assert TaskContext.get() is None
-        assert eager is not codec._lazy_zip_invalidate  # importing the codec installed nothing
-        codec._install_lazy_zip_invalidate()
+        started = []
+        monkeypatch.setattr(pyspark.daemon, "manager", lambda: started.append(True))
+        runpy.run_path(daemon.__file__, run_name="__main__")
+        assert started == [True]
+
+    def test_driver_is_untouched(self, monkeypatch, eager):
+        monkeypatch.delitem(sys.modules, "repro.sparkio.daemon")
+        importlib.import_module("repro.sparkio.daemon")
         assert zipimport.zipimporter.invalidate_caches is eager
 
     @pytest.mark.skipif(sys.version_info >= (3, 13), reason="zipimporter is lazy from CPython 3.13")
@@ -428,22 +476,21 @@ class TestLazyZipInvalidate:
         monkeypatch.setattr(zipimport, "_read_directory", lambda p: reads.append(p) or read_directory(p))
         importlib.invalidate_caches()
         assert reads == [archive]  # the eager body re-reads the archive
-        self.in_task(monkeypatch)
-        codec._install_lazy_zip_invalidate()
-        codec._install_lazy_zip_invalidate()  # idempotent
-        assert zipimport.zipimporter.invalidate_caches is codec._lazy_zip_invalidate
+        self.run_daemon(monkeypatch)
+        invalidate = zipimport.zipimporter.invalidate_caches
+        assert (invalidate.__module__, invalidate.__name__) == ("__main__", "_lazy_zip_invalidate")
+        reads.clear()  # ``run_path`` probed the daemon's file as a zip
         importlib.invalidate_caches()
-        assert reads == [archive]
+        assert reads == []
 
     def test_imports_still_work(self, monkeypatch, tmp_path):
         first = self.zip_with(tmp_path / "a.zip", "lazy_zip_a", "lazy_zip_b")
         monkeypatch.setattr(sys, "path", sys.path + [first])
-        self.in_task(monkeypatch)
-        codec._install_lazy_zip_invalidate()
+        self.run_daemon(monkeypatch)
         try:
             assert importlib.import_module("lazy_zip_a").NAME == "lazy_zip_a"
             importlib.invalidate_caches()
-            # an archive added after the shim, as ``addPyFile`` does
+            # an archive added after the daemon started, as ``addPyFile`` does
             second = self.zip_with(tmp_path / "c.zip", "lazy_zip_c")
             monkeypatch.setattr(sys, "path", sys.path + [second])
             importlib.invalidate_caches()
@@ -456,6 +503,5 @@ class TestLazyZipInvalidate:
 
     def test_noop_from_python_3_13(self, monkeypatch, eager):
         monkeypatch.setattr(sys, "version_info", (3, 13, 0, "final", 0))
-        self.in_task(monkeypatch)
-        codec._install_lazy_zip_invalidate()
+        self.run_daemon(monkeypatch)
         assert zipimport.zipimporter.invalidate_caches is eager
