@@ -1,17 +1,23 @@
 """Parquet-backed compressed row-group store.
 
 Writes the block DataFrame produced by ``codec.compress_to_blocks`` to
-Parquet (one NeaTS payload per row, with its ``start_idx``/``n``
-metadata and, in ``codec``, the variant that wrote it), and reads it back
-for range scans (in-block ``NeaTS.scan``) and point lookups (in-block
-random access, no join), each one scan of the store and one
-``mapInPandas``.  A row of another codec fails the read.  A JVM
-DataSourceV2 file format is out of scope (see DESIGN.md §6); this store
-keeps the access pattern the paper's evaluation exercises: per-page
-decode of the touched pages + random access.
+one Parquet file (one NeaTS payload per row, with its ``start_idx``/``n``
+metadata and, in ``codec``, the variant that wrote it, ordered by
+``start_idx``), and reads it back for range scans (in-block
+``NeaTS.scan``) and point lookups (in-block random access, no join), each
+one scan of the store and one ``mapInPandas``.  A row of another codec
+fails the read.  A JVM DataSourceV2 file format is out of scope (see
+DESIGN.md §6); this store keeps the access pattern the paper's evaluation
+exercises: per-page decode of the touched pages + random access.
 """
 from __future__ import annotations
 
+import os
+import shutil
+import tempfile
+from urllib.parse import urlparse
+
+import pyarrow.parquet as pq
 from pyspark.sql import DataFrame, SparkSession, functions as F
 
 from . import codec as _codec
@@ -20,9 +26,52 @@ __all__ = ["write_store", "read_blocks", "scan_range", "point_lookup", "store_si
 
 
 def write_store(blocks: DataFrame, path: str) -> None:
-    # Parquet compression off: the payloads are already NeaTS-compressed and
-    # double compression would muddy the size accounting.
-    blocks.write.mode("overwrite").option("compression", "none").parquet(path)
+    """Write ``blocks`` (:data:`codec.BLOCK_SCHEMA` rows) to the local
+    directory ``path`` as one Parquet file ordered by ``start_idx``.
+
+    The rows are collected to the driver as Arrow (``toArrow``), so the
+    driver holds every payload at once: about a quarter of the raw series'
+    bytes.  The file is written by ``pyarrow.parquet`` into a hidden
+    directory ``.<name>-...`` beside ``path``, which then takes the place of
+    the old store, so a write that fails leaves the old store as it was.
+    A path with a scheme other than ``file:`` raises ``ValueError`` before
+    any job.
+
+    Layout: no compression (the payloads are already NeaTS-compressed,
+    and double compression would muddy the size accounting); min/max
+    statistics on every column but ``payload``; dictionary encoding on
+    ``payload``, ``codec`` and ``n``, so repeated payloads are stored
+    once, while ``block_id`` and ``start_idx`` stay plain; row groups of
+    at most the session's ``spark.sql.adaptive.advisoryPartitionSizeInBytes``
+    of Arrow data, the size AQE coalesced the encode stage's partitions to
+    when Spark wrote the store.
+    """
+    url = urlparse(path)
+    if url.scheme not in ("", "file"):
+        raise ValueError(f"{path}: the store is written to a local path, not {url.scheme}:")
+    spark = blocks.sparkSession
+    group_bytes = spark._jvm.org.apache.spark.network.util.JavaUtils.byteStringAsBytes(
+        spark.conf.get("spark.sql.adaptive.advisoryPartitionSizeInBytes"))
+    table = blocks.toArrow().sort_by("start_idx")
+    target = os.path.abspath(url.path if url.scheme else path)
+    parent, name = os.path.split(target)
+    os.makedirs(parent, exist_ok=True)
+    stage = tempfile.mkdtemp(prefix=f".{name}-", dir=parent)
+    try:
+        new = os.path.join(stage, "new")
+        os.mkdir(new)
+        pq.write_table(
+            table, os.path.join(new, "part-0.parquet"),
+            row_group_size=max(1, group_bytes * table.num_rows // max(table.nbytes, 1)),
+            compression="none", store_schema=False,
+            use_dictionary=["payload", "codec", "n"],
+            write_statistics=["block_id", "start_idx", "n", "codec"],
+        )
+        if os.path.lexists(target):
+            os.rename(target, os.path.join(stage, "old"))
+        os.rename(new, target)
+    finally:
+        shutil.rmtree(stage)
 
 
 def read_blocks(spark: SparkSession, path: str) -> DataFrame:

@@ -125,3 +125,21 @@ class TestRangeQueries:
         # and NeaTS stays within the same order of magnitude as the C-coded
         # Lz4 block store even at the largest range
         assert by[(640, "NeaTS")] > 0.1 * by[(640, "Lz4")]
+
+
+class TestSparkStore:
+    def test_store_job_runs(self, spark):
+        """The store demo end to end: ingest, write, a range aggregate and
+        64 point lookups, each checked against the series inside ``run``."""
+        out = _load("spark_store").run(spark, dataset="IT", n=8192, block=1024)
+        assert out["dataset"] == "IT" and out["n"] == 8192
+        assert 0 < out["ratio_pct"] < 100
+        assert min(out["write_s"], out["range_query_s"], out["point_lookup_s"]) > 0
+
+
+class TestFig2:
+    def test_variants_job_runs(self):
+        out = _load("fig2_variants").run(datasets=["IT", "CT"], sizes=(256,), blocks=2, repeats=1)
+        by = {(r["dataset"], r["variant"]): r for r in out["rows"]}
+        assert len(by) == 6 and all(r["mb_per_s"] > 0 and 0 < r["ratio_pct"] < 150 for r in by.values())
+        assert {s["variant"]: s["speedup_vs_neats"] for s in out["summary"]}["neats"] == 1.0

@@ -13,6 +13,7 @@ import zipimport
 
 import numpy as np
 import pandas as pd
+import pyarrow.parquet as pq
 import pytest
 from pyspark.errors import PythonException
 from pyspark.sql import GroupedData, functions as F
@@ -275,12 +276,16 @@ class TestBlocksPipeline:
             original=pdf,
         )
 
-    def test_scan_range_over_one_block_per_file(self, spark, neats_blocks, tmp_path):
-        """Every file is read; the blocks outside the range yield nothing."""
+    def test_scan_range_over_one_ordered_file(self, spark, neats_blocks, tmp_path):
+        """Blocks written from one partition each still make one file, in
+        ``start_idx`` order; the blocks outside the range yield nothing."""
         n_blocks = (N + BLOCK - 1) // BLOCK
         path = str(tmp_path / "store")
         write_store(neats_blocks.repartitionByRange(n_blocks, "block_id"), path)
-        assert len([f for f in os.listdir(path) if f.endswith(".parquet")]) == n_blocks
+        files = [f for f in os.listdir(path) if f.endswith(".parquet")]
+        assert len(files) == 1
+        starts = pq.read_table(os.path.join(path, files[0]), columns=["start_idx"])["start_idx"].to_pylist()
+        assert starts == sorted(starts) and len(starts) == n_blocks
         for lo, hi in [(0, 10), (600, 610)]:
             got = scan_range(spark, path, lo, hi)
             assert sorted(r["idx"] for r in got.collect()) == list(range(lo, hi))
