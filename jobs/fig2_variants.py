@@ -3,29 +3,30 @@
 sizes.
 
 Each dataset contributes its first ``--blocks`` blocks; every block is
-compressed in process (no Spark) by each variant, best of ``--repeats``
-timings.  Writes ``results/fig2.json``: one row per (dataset, block size,
-variant) and one summary row per (block size, variant) with the mean ratio
-over the datasets and the speed over all of their bytes, relative to NeaTS.
+compressed in process (no Spark) by each variant, timed as the median of
+``harness._REPEATS`` runs, as in Tables II and III.  Writes
+``results/fig2.json``: one row per (dataset, block size, variant) and one
+summary row per (block size, variant) with the mean ratio over the datasets
+and the speed over all of their bytes, relative to NeaTS.
 
-Run:  python jobs/fig2_variants.py [--blocks 4] [--repeats 3] [--sizes 1024 4096]
+Run:  python jobs/fig2_variants.py [--blocks 4] [--sizes 1024 4096]
 """
 from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 import numpy as np
 
 from repro.core.neats import VARIANTS, NeaTS
+from repro.harness import _median_time
 from repro.runner import dump_json
 from repro.tsdata import DATASETS, load
 
 MB = 1e6
 
 
-def run(*, datasets=DATASETS, sizes=(1024, 4096), blocks: int = 4, repeats: int = 3) -> dict:
+def run(*, datasets=DATASETS, sizes=(1024, 4096), blocks: int = 4) -> dict:
     rows = []
     for ds in datasets:
         ints = load(ds, n=blocks * max(sizes)).ints
@@ -34,12 +35,8 @@ def run(*, datasets=DATASETS, sizes=(1024, 4096), blocks: int = 4, repeats: int 
                 seconds, nbytes = 0.0, 0
                 for b in range(blocks):
                     block = ints[b * size:(b + 1) * size]
-                    best = float("inf")
-                    for _ in range(repeats):
-                        t0 = time.perf_counter()
-                        payload = NeaTS.compress(block, variant=variant).to_bytes()
-                        best = min(best, time.perf_counter() - t0)
-                    seconds += best
+                    payload, t = _median_time(lambda: NeaTS.compress(block, variant=variant).to_bytes())
+                    seconds += t
                     nbytes += len(payload)
                 rows.append({"dataset": ds, "block": size, "variant": variant, "seconds": seconds,
                              "ratio_pct": 100.0 * nbytes / (8 * blocks * size),
@@ -53,16 +50,15 @@ def run(*, datasets=DATASETS, sizes=(1024, 4096), blocks: int = 4, repeats: int 
             summary.append({"block": size, "variant": v, "ratio_pct": float(np.mean(ratios)),
                             "mb_per_s": 8 * blocks * size * len(ratios) / total[v] / MB,
                             "speedup_vs_neats": total["neats"] / total[v]})
-    return {"blocks_per_dataset": blocks, "repeats": repeats, "rows": rows, "summary": summary}
+    return {"blocks_per_dataset": blocks, "rows": rows, "summary": summary}
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser()
     ap.add_argument("--blocks", type=int, default=4)
-    ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--sizes", type=int, nargs="+", default=[1024, 4096])
     args = ap.parse_args(argv)
-    out = run(sizes=tuple(args.sizes), blocks=args.blocks, repeats=args.repeats)
+    out = run(sizes=tuple(args.sizes), blocks=args.blocks)
     print(f"{'block':>6s} {'variant':>8s} {'ratio %':>8s} {'MB/s':>7s} {'vs NeaTS':>9s}")
     for s in out["summary"]:
         print(f"{s['block']:>6d} {s['variant']:>8s} {s['ratio_pct']:>8.2f} {s['mb_per_s']:>7.2f} "

@@ -24,6 +24,9 @@ from . import codec as _codec
 
 __all__ = ["write_store", "read_blocks", "scan_range", "point_lookup", "store_size_bytes"]
 
+#: the most Arrow bytes of blocks that ``write_store`` puts in one row group
+ROW_GROUP_BYTES = 64 << 20
+
 
 def write_store(blocks: DataFrame, path: str) -> None:
     """Write ``blocks`` (:data:`codec.BLOCK_SCHEMA` rows) to the local
@@ -33,7 +36,9 @@ def write_store(blocks: DataFrame, path: str) -> None:
     driver holds every payload at once: about a quarter of the raw series'
     bytes.  The file is written by ``pyarrow.parquet`` into a hidden
     directory ``.<name>-...`` beside ``path``, which then takes the place of
-    the old store, so a write that fails leaves the old store as it was.
+    the old store, so a write that fails leaves the old store as it was:
+    when the new store cannot be moved to ``path``, the old one is moved
+    back.
     A path with a scheme other than ``file:`` raises ``ValueError`` before
     any job.
 
@@ -42,36 +47,38 @@ def write_store(blocks: DataFrame, path: str) -> None:
     statistics on every column but ``payload``; dictionary encoding on
     ``payload``, ``codec`` and ``n``, so repeated payloads are stored
     once, while ``block_id`` and ``start_idx`` stay plain; row groups of
-    at most the session's ``spark.sql.adaptive.advisoryPartitionSizeInBytes``
-    of Arrow data, the size AQE coalesced the encode stage's partitions to
-    when Spark wrote the store.
+    at most :data:`ROW_GROUP_BYTES` of Arrow data.
     """
     url = urlparse(path)
     if url.scheme not in ("", "file"):
         raise ValueError(f"{path}: the store is written to a local path, not {url.scheme}:")
-    spark = blocks.sparkSession
-    group_bytes = spark._jvm.org.apache.spark.network.util.JavaUtils.byteStringAsBytes(
-        spark.conf.get("spark.sql.adaptive.advisoryPartitionSizeInBytes"))
     table = blocks.toArrow().sort_by("start_idx")
     target = os.path.abspath(url.path if url.scheme else path)
     parent, name = os.path.split(target)
     os.makedirs(parent, exist_ok=True)
     stage = tempfile.mkdtemp(prefix=f".{name}-", dir=parent)
+    new, old = os.path.join(stage, "new"), os.path.join(stage, "old")
     try:
-        new = os.path.join(stage, "new")
         os.mkdir(new)
         pq.write_table(
             table, os.path.join(new, "part-0.parquet"),
-            row_group_size=max(1, group_bytes * table.num_rows // max(table.nbytes, 1)),
+            row_group_size=max(1, ROW_GROUP_BYTES * table.num_rows // max(table.nbytes, 1)),
             compression="none", store_schema=False,
             use_dictionary=["payload", "codec", "n"],
             write_statistics=["block_id", "start_idx", "n", "codec"],
         )
         if os.path.lexists(target):
-            os.rename(target, os.path.join(stage, "old"))
-        os.rename(new, target)
+            os.rename(target, old)
+        try:
+            os.rename(new, target)
+        except BaseException:
+            if os.path.lexists(old):
+                os.rename(old, target)
+            raise
     finally:
-        shutil.rmtree(stage)
+        # Keep ``stage`` only if it holds the sole copy of the old store.
+        if os.path.lexists(target) or not os.path.lexists(old):
+            shutil.rmtree(stage)
 
 
 def read_blocks(spark: SparkSession, path: str) -> DataFrame:

@@ -139,7 +139,7 @@ class TestSparkStore:
 
 class TestFig2:
     def test_variants_job_runs(self):
-        out = _load("fig2_variants").run(datasets=["IT", "CT"], sizes=(256,), blocks=2, repeats=1)
+        out = _load("fig2_variants").run(datasets=["IT", "CT"], sizes=(256,), blocks=2)
         by = {(r["dataset"], r["variant"]): r for r in out["rows"]}
         assert len(by) == 6 and all(r["mb_per_s"] > 0 and 0 < r["ratio_pct"] < 150 for r in by.values())
         assert {s["variant"]: s["speedup_vs_neats"] for s in out["summary"]}["neats"] == 1.0

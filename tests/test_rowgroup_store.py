@@ -11,6 +11,7 @@ from pyspark.sql import functions as F
 
 from repro.oracle import assert_equivalent
 from repro.sparkio.codec import compress_to_blocks, decompress_blocks
+from repro.sparkio import rowgroup_store
 from repro.sparkio.rowgroup_store import (
     point_lookup, read_blocks, scan_range, store_size_bytes, write_store,
 )
@@ -101,6 +102,27 @@ class TestWrite:
         assert sorted(read_blocks(spark, path).collect()) == old
         assert _hidden(path) == []
 
+    def test_failed_swap_restores_old_store(self, spark, store_path, tmp_path, monkeypatch):
+        """When the new store cannot be moved to ``path`` after the old one
+        was moved aside, the old one is moved back with its rows."""
+        path = str(tmp_path / "store")
+        df = spark.createDataFrame(pd.DataFrame({"idx": np.arange(4), "y": [1, 2, 3, 4]}))
+        write_store(compress_to_blocks(df, block_size=2), path)
+        old = sorted(read_blocks(spark, path).collect())
+        rename = os.rename
+
+        def failing_rename(src, dst):
+            if os.path.basename(src) == "new":
+                raise OSError("rename refused")
+            rename(src, dst)
+
+        monkeypatch.setattr(os, "rename", failing_rename)
+        with pytest.raises(OSError, match="rename refused"):
+            write_store(read_blocks(spark, store_path), path)
+        monkeypatch.undo()
+        assert sorted(read_blocks(spark, path).collect()) == old
+        assert _hidden(path) == []
+
     def test_rewrite_replaces_store(self, spark, tmp_path):
         path = str(tmp_path / "store")
         for values in ([1, 2, 3], [7, 8]):
@@ -144,19 +166,14 @@ class TestWrite:
                 assert not cols[name].has_dictionary_page and cols[name].statistics.has_min_max
         assert os.path.getsize(os.path.join(path, "part-0.parquet")) < copies * payload_bytes
 
-    def test_row_groups_follow_advisory_size(self, spark, store_path, tmp_path):
-        """Row groups hold at most ``advisoryPartitionSizeInBytes`` of Arrow
-        data, and their ``start_idx`` ranges ascend without overlap."""
-        key = "spark.sql.adaptive.advisoryPartitionSizeInBytes"
+    def test_row_groups_hold_at_most_row_group_bytes(self, spark, store_path, tmp_path, monkeypatch):
+        """Row groups hold at most ``ROW_GROUP_BYTES`` of Arrow data, and
+        their ``start_idx`` ranges ascend without overlap."""
         blocks = read_blocks(spark, store_path)
         n_blocks = blocks.count()
         path = str(tmp_path / "small-groups")
-        old = spark.conf.get(key)
-        spark.conf.set(key, "1b")
-        try:
-            write_store(blocks, path)
-        finally:
-            spark.conf.set(key, old)
+        monkeypatch.setattr(rowgroup_store, "ROW_GROUP_BYTES", 1)
+        write_store(blocks, path)
         meta = pq.ParquetFile(os.path.join(path, "part-0.parquet")).metadata
         assert meta.num_row_groups == n_blocks
         col = meta.schema.names.index("start_idx")
