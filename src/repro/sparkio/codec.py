@@ -3,11 +3,12 @@
 The repro target treats NeaTS as a page encoding for columnar storage:
 a time series DataFrame ``(idx, y)`` is split into fixed-size blocks (the
 "row groups"), each block is compressed *inside the executors* with
-``applyInPandas``, and the result is a small DataFrame of binary payload
+``applyInArrow``, and the result is a small DataFrame of binary payload
 rows that can be written to Parquet (see ``rowgroup_store``).  Every read
-is one ``mapInPandas`` pass in which each block decodes only the queried
+is one ``mapInArrow`` pass in which each block decodes only the queried
 positions it holds, with NeaTS's in-block random access (Algorithm 3) or
-range scan (Section IV-C4).
+range scan (Section IV-C4).  Blocks cross Spark's Python boundary as Arrow
+tables and record batches only.
 
 Every payload is a NeaTS serialisation.  A row's ``codec`` names the
 variant that wrote it (``neats`` / ``leats`` / ``sneats``, Section IV-C1),
@@ -21,7 +22,7 @@ from functools import partial
 from typing import Iterator
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
 from pyspark.sql import DataFrame, functions as F
 from pyspark.sql.types import (
     BinaryType, IntegralType, LongType, StringType, StructField, StructType,
@@ -83,16 +84,20 @@ def compress_to_blocks(
     values — the per-partition custom encoder pattern.  A block is read back as ``start_idx + arange(n)``, so
     a block whose ``idx`` values are not consecutive (a gap or a duplicate)
     raises ``ValueError``.  On the driver, before any job: a ``codec`` that
-    is not a NeaTS variant raises ``ValueError``, and an ``idx`` or ``y``
-    column of other than an integral type raises :class:`OutOfDomainError`
-    (the cast to long would truncate it).
+    is not a NeaTS variant or a ``block_size`` below 1 raises ``ValueError``,
+    a ``block_size`` that is not an integer (a float) raises ``TypeError``,
+    and an ``idx`` or ``y`` column of other than an integral type raises
+    :class:`OutOfDomainError` (the cast to long would truncate it).
     """
     if codec not in VARIANTS:
         raise ValueError(f"unknown codec {codec!r}: one of {', '.join(VARIANTS)}")
+    block_size = operator.index(block_size)
+    if block_size < 1:
+        raise ValueError(f"block_size {block_size}: a block holds at least 1 value")
     _require_integral(df, "idx", "y")
     src = df.selectExpr("CAST(idx AS BIGINT) AS idx", "CAST(y AS BIGINT) AS y",
-                        f"CAST(idx AS BIGINT) DIV {int(block_size)} AS block_id")
-    return src.groupBy("block_id").applyInPandas(partial(_encode, codec), schema=BLOCK_SCHEMA)
+                        f"CAST(idx AS BIGINT) DIV {block_size} AS block_id")
+    return src.groupBy("block_id").applyInArrow(partial(_encode, codec), schema=BLOCK_SCHEMA)
 
 
 def _require_integral(df: DataFrame, *names: str) -> None:
@@ -104,26 +109,18 @@ def _require_integral(df: DataFrame, *names: str) -> None:
             raise OutOfDomainError(f"column {name} is {kind.simpleString()}, not an integral type")
 
 
-def _encode(codec, pdf):
-    """One block's row of :data:`BLOCK_SCHEMA`, from its ``(idx, y,
-    block_id)`` rows in any order.  Not annotated: ``applyInPandas`` would
-    read the hints with ``typing.get_type_hints``, which refuses a
-    ``partial``, and warn."""
-    pdf = pdf.sort_values("idx")
-    vals = pdf["y"].to_numpy(dtype=np.int64)
-    bid = int(pdf["block_id"].iloc[0])
-    idx = pdf["idx"].to_numpy(dtype=np.int64)
+def _encode(codec, table):
+    """One block's row of :data:`BLOCK_SCHEMA`, from the Arrow table of its
+    ``(idx, y, block_id)`` rows in any order.  Not annotated:
+    ``applyInArrow`` would read the hints with ``typing.get_type_hints``,
+    which refuses a ``partial``, and warn."""
+    table = table.sort_by("idx")
+    idx, vals = table["idx"].to_numpy(), table["y"].to_numpy()
+    bid = table["block_id"][0].as_py()
     if not np.array_equal(idx, np.arange(idx[0], idx[0] + len(idx))):
         raise ValueError(f"block {bid}: its idx values are not consecutive from {idx[0]}")
-    return pd.DataFrame(
-        {
-            "block_id": [bid],
-            "start_idx": [int(idx[0])],
-            "n": [len(vals)],
-            "codec": [codec],
-            "payload": [encode_block(vals, codec)],
-        }
-    )
+    return pa.table({"block_id": [bid], "start_idx": [int(idx[0])], "n": [len(vals)],
+                     "codec": [codec], "payload": [encode_block(vals, codec)]})
 
 
 _DECODED_SCHEMA = StructType([
@@ -183,17 +180,17 @@ def _select(blocks: DataFrame, pick) -> DataFrame:
     offsets to decode, which the block yields as ``(idx, y)`` rows.  The
     executor function and ``pick`` are module-level functions bound by
     ``functools.partial``, so a task pickles them by reference."""
-    return blocks.mapInPandas(partial(_select_batches, pick), schema=_DECODED_SCHEMA)
+    return blocks.mapInArrow(partial(_select_batches, pick), schema=_DECODED_SCHEMA)
 
 
-def _select_batches(pick, batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-    for pdf in batches:
+def _select_batches(pick, batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
+    for batch in batches:
         idxs, ys = [], []
-        for start, n, codec, payload in zip(pdf["start_idx"].tolist(), pdf["n"].tolist(),
-                                             pdf["codec"], pdf["payload"]):
+        columns = (batch[name].to_pylist() for name in ("start_idx", "n", "codec", "payload"))
+        for start, n, codec, payload in zip(*columns):
             part = pick(start, n)
             if part is not None:
                 ys.append(_read(payload, codec, n, part))
                 idxs.append(np.arange(start, start + n, dtype=np.int64)[part])
         if idxs:
-            yield pd.DataFrame({"idx": np.concatenate(idxs), "y": np.concatenate(ys)})
+            yield pa.record_batch({"idx": np.concatenate(idxs), "y": np.concatenate(ys)})

@@ -5,10 +5,13 @@ one Parquet file (one NeaTS payload per row, with its ``start_idx``/``n``
 metadata and, in ``codec``, the variant that wrote it, ordered by
 ``start_idx``), and reads it back for range scans (in-block
 ``NeaTS.scan``) and point lookups (in-block random access, no join), each
-one scan of the store and one ``mapInPandas``.  A row of another codec
-fails the read.  A JVM DataSourceV2 file format is out of scope (see
-DESIGN.md §6); this store keeps the access pattern the paper's evaluation
-exercises: per-page decode of the touched pages + random access.
+one scan of the store and one ``mapInArrow``.  The blocks stay Arrow from
+the encoder to the file and back: ``write_store`` collects them with
+``toArrow``, and the reads hand them to Python as record batches.  A row
+of another codec fails the read.  A JVM DataSourceV2 file format is out
+of scope (see DESIGN.md §6); this store keeps the access pattern the
+paper's evaluation exercises: per-page decode of the touched pages +
+random access.
 """
 from __future__ import annotations
 

@@ -7,16 +7,19 @@ import os
 import pickle
 import re
 import runpy
+import subprocess
 import sys
 import zipfile
 import zipimport
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 from pyspark.errors import PythonException
 from pyspark.sql import GroupedData, functions as F
+from pyspark.sql.pandas.types import to_arrow_schema
 
 from repro.baselines.gp import GPCodec
 from repro.core.neats import VARIANTS, CorruptPayloadError
@@ -24,8 +27,8 @@ from repro.core.partition import OutOfDomainError
 from repro.oracle import assert_equivalent
 from repro.sparkio import daemon
 from repro.sparkio.codec import (
-    BLOCK_SCHEMA, compress_to_blocks, decode_block, decompress_blocks, encode_block,
-    random_access, range_query,
+    _DECODED_SCHEMA, BLOCK_SCHEMA, _encode, _pick_all, _select_batches, compress_to_blocks, decode_block,
+    decompress_blocks, encode_block, random_access, range_query,
 )
 from repro.sparkio.rowgroup_store import point_lookup, read_blocks, scan_range, write_store
 from repro.tsdata import load
@@ -153,16 +156,16 @@ class TestExecutorFunctions:
     the standard ``pickle``, which refuses closures."""
 
     class Capture:
-        def mapInPandas(self, fn, schema):
+        def mapInArrow(self, fn, schema):
             return fn
 
     @staticmethod
     def rows(fn):
         """The rows ``fn`` yields for one batch of two block rows."""
-        batch = pd.DataFrame({"start_idx": [0, 100], "n": [100, 50], "codec": ["neats", "sneats"],
-                              "payload": [encode_block(np.arange(100) * 3, "neats"),
-                                          encode_block(np.arange(50) - 7, "sneats")]})
-        return pd.concat(fn(iter([batch]))).values.tolist()
+        batch = pa.record_batch({"start_idx": [0, 100], "n": [100, 50], "codec": ["neats", "sneats"],
+                                 "payload": [encode_block(np.arange(100) * 3, "neats"),
+                                             encode_block(np.arange(50) - 7, "sneats")]})
+        return [[row["idx"], row["y"]] for out in fn(iter([batch])) for row in out.to_pylist()]
 
     def test_reads_pickle(self, spark):
         keys = spark.createDataFrame([(3,), (120,), (500,)], "idx long")
@@ -176,12 +179,62 @@ class TestExecutorFunctions:
             assert self.rows(fn) == self.rows(shipped) == expect, name
 
     def test_encode_pickles(self, spark, monkeypatch):
-        monkeypatch.setattr(GroupedData, "applyInPandas", lambda self, fn, schema: fn)
+        monkeypatch.setattr(GroupedData, "applyInArrow", lambda self, fn, schema: fn)
         df = spark.createDataFrame([(0, 1)], "idx long, y long")
         fn = pickle.loads(pickle.dumps(compress_to_blocks(df, codec="leats")))
-        row = fn(pd.DataFrame({"idx": [11, 10], "y": [5, 4], "block_id": [2, 2]})).iloc[0]
-        assert (row.block_id, row.start_idx, row.n, row.codec) == (2, 10, 2, "leats")
-        assert np.array_equal(decode_block(row.payload, "leats", 2), [4, 5])
+        [row] = fn(pa.table({"idx": [11, 10], "y": [5, 4], "block_id": [2, 2]})).to_pylist()
+        assert (row["block_id"], row["start_idx"], row["n"], row["codec"]) == (2, 10, 2, "leats")
+        assert np.array_equal(decode_block(row["payload"], "leats", 2), [4, 5])
+
+
+class TestArrowBoundary:
+    """Blocks cross Spark's Python boundary as Arrow, which does not coerce
+    types: what the executor functions return must have the Arrow types of
+    the schema that they declare to Spark, and the Spark path does not load
+    pandas."""
+
+    @staticmethod
+    def types(schema):
+        return [(field.name, field.type) for field in schema]
+
+    def test_encode_returns_block_schema_types(self):
+        table = pa.table({"idx": np.array([1, 0], dtype=np.int64), "y": np.array([9, 8], dtype=np.int64),
+                          "block_id": np.array([0, 0], dtype=np.int64)})
+        for codec in VARIANTS:
+            assert self.types(_encode(codec, table).schema) == self.types(to_arrow_schema(BLOCK_SCHEMA)), codec
+
+    def test_select_yields_decoded_schema_types(self):
+        batch = pa.Table.from_pylist([{"block_id": 0, "start_idx": 0, "n": 4, "codec": "neats",
+                                       "payload": encode_block(np.arange(4), "neats")}],
+                                     schema=to_arrow_schema(BLOCK_SCHEMA)).to_batches()[0]
+        [out] = _select_batches(_pick_all, iter([batch]))
+        assert self.types(out.schema) == self.types(to_arrow_schema(_DECODED_SCHEMA))
+        assert out.to_pydict() == {"idx": [0, 1, 2, 3], "y": [0, 1, 2, 3]}
+
+    def test_codec_and_store_import_no_pandas(self):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        code = ("import sys, repro.sparkio.codec, repro.sparkio.rowgroup_store\n"
+                "print('pandas' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr[-2000:]
+        assert out.stdout.strip() == "False"
+
+
+class TestIngestPayloads:
+    """Every payload that Spark writes is ``encode_block`` of its block's
+    values, whatever order the rows arrive in: the encoder path changes no
+    byte of the store (its size and ``TestFormatPins``' format)."""
+
+    @pytest.mark.parametrize("codec", VARIANTS)
+    def test_payloads_match_encode_block(self, spark, series, codec):
+        order = np.random.default_rng(13).permutation(N)
+        df = spark.createDataFrame(pd.DataFrame({"idx": order, "y": series.ints[order]}))
+        rows = compress_to_blocks(df, codec=codec, block_size=BLOCK).orderBy("start_idx").collect()
+        assert [(r.block_id, r.start_idx, r.n) for r in rows] == [
+            (b, b * BLOCK, min(BLOCK, N - b * BLOCK)) for b in range((N + BLOCK - 1) // BLOCK)]
+        for r in rows:
+            assert r.codec == codec
+            assert r.payload == encode_block(series.ints[r.start_idx:r.start_idx + r.n], codec), r.block_id
 
 
 class TestIngestDomain:
@@ -200,6 +253,19 @@ class TestIngestDomain:
         df = spark.createDataFrame(pd.DataFrame({"idx": [0, 1], "y": [10, 20]}))
         with pytest.raises(ValueError, match=f"unknown codec '{name}'"):
             compress_to_blocks(df, codec=name, block_size=4)
+
+    @pytest.mark.parametrize("size, error", [(2.5, TypeError), (0, ValueError), (-4, ValueError)])
+    def test_bad_block_size_raises(self, spark, size, error):
+        """A float would be truncated to another block size, and a size
+        below 1 divides by zero or makes negative block ids."""
+        df = spark.createDataFrame(pd.DataFrame({"idx": [0, 1], "y": [10, 20]}))
+        with pytest.raises(error, match=None if error is TypeError else "block_size"):
+            compress_to_blocks(df, block_size=size)
+
+    def test_numpy_block_size(self, spark):
+        df = spark.createDataFrame(pd.DataFrame({"idx": [0, 1, 2], "y": [10, 20, 30]}))
+        rows = compress_to_blocks(df, block_size=np.int32(2)).orderBy("block_id").collect()
+        assert [(r.start_idx, r.n) for r in rows] == [(0, 2), (2, 1)]
 
     def test_narrow_integral_columns(self, spark):
         df = spark.createDataFrame([(0, 10), (1, -20), (2, 30)], "idx int, y short")
@@ -421,7 +487,7 @@ class TestRangeTrim:
 
     def test_lookup_plan_has_no_join(self, spark, coded):
         """A lookup or a range read is a scan of the blocks and one
-        ``mapInPandas``: no join of the keys to the blocks, no filter on the
+        ``mapInArrow``: no join of the keys to the blocks, no filter on the
         block relation, and no shuffle."""
         _, path = coded
         keys_df = spark.createDataFrame([(5,), (1000,)], "idx long")
@@ -431,7 +497,7 @@ class TestRangeTrim:
         for got, idx in zip(reads, expect):
             plan = got._jdf.queryExecution().executedPlan().toString()
             nodes = re.findall(r"^[ +:-]*(?:\*\(\d+\) )?(\w+)", plan, re.M)
-            assert nodes[0] == "MapInPandas", plan
+            assert nodes[0] == "MapInArrow", plan
             assert not [n for n in nodes if n == "Filter" or "Join" in n or "Exchange" in n], plan
             assert "PushedFilters: []" in plan, plan
             assert sorted(r["idx"] for r in got.collect()) == idx
