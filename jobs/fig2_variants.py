@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from repro.core.neats import VARIANTS, NeaTS
-from repro.harness import _median_time
+from repro.harness import median_time
 from repro.runner import dump_json
 from repro.tsdata import DATASETS, load
 
@@ -35,7 +35,7 @@ def run(*, datasets=DATASETS, sizes=(1024, 4096), blocks: int = 4) -> dict:
                 seconds, nbytes = 0.0, 0
                 for b in range(blocks):
                     block = ints[b * size:(b + 1) * size]
-                    payload, t = _median_time(lambda: NeaTS.compress(block, variant=variant).to_bytes())
+                    payload, t = median_time(lambda: NeaTS.compress(block, variant=variant).to_bytes())
                     seconds += t
                     nbytes += len(payload)
                 rows.append({"dataset": ds, "block": size, "variant": variant, "seconds": seconds,

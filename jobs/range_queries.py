@@ -6,17 +6,20 @@ The paper's claim: DAC is fastest below ~40 points, NeaTS above, both an
 order of magnitude beyond the block-decompression codecs at small ranges.
 (``jobs/spark_store.py`` runs range queries on the Spark row-group store.)
 
+Each (range, codec, dataset) batch of queries is timed by
+``harness.median_time`` (median of ``harness._REPEATS`` runs), as in
+Tables II and III, and its last answer is checked against the input.
+
 Run:  python jobs/range_queries.py [--n 16384] [--queries 200]
 """
 from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 import numpy as np
 
-from repro.harness import CODECS, FIG4, input_of
+from repro.harness import CODECS, FIG4, input_of, median_time
 from repro.runner import dump_json
 from repro.tsdata import load
 
@@ -41,16 +44,24 @@ def run(*, n: int | None = None, n_queries: int = 200, max_k: int = 9, seed: int
         ts = load(ds, n=n)
         arts[ds] = (ts, build_artifacts(ts))
     for size in sizes:
-        for name in FIG4:
+        for name, table_name in FIG4.items():
+            domain = CODECS[table_name][0]
             total_t, total_q = 0.0, 0
             for ds, (ts, art) in arts.items():
                 if size >= ts.n:
                     continue
                 starts = rng.integers(0, ts.n - size, n_queries)
-                t0 = time.perf_counter()
-                for s in starts:
-                    art[name].scan(int(s), int(s) + size)
-                total_t += time.perf_counter() - t0
+
+                def batch():
+                    for s in starts:
+                        out = art[name].scan(int(s), int(s) + size)
+                    return out
+
+                last, t = median_time(batch)
+                s = int(starts[-1])
+                if not np.array_equal(last, input_of(ts, domain)[s:s + size]):
+                    raise AssertionError(f"{name} scan wrong on {ds}@[{s}, {s + size})")
+                total_t += t
                 total_q += n_queries
             if total_q:
                 rows.append({"range": size, "codec": name, "qps": total_q / total_t})

@@ -34,7 +34,7 @@ from .baselines.tsxor import TSXorCodec
 from .core.neats import NeaTS
 from .tsdata import TimeSeries
 
-__all__ = ["ALL_LOSSLESS", "CODECS", "FIG4", "input_of", "measure"]
+__all__ = ["ALL_LOSSLESS", "CODECS", "FIG4", "input_of", "measure", "median_time"]
 
 
 #: Table III column order: 5 general-purpose + 8 special-purpose
@@ -61,8 +61,9 @@ CODECS = {
        for name in ("NeaTS", "LeaTS", "SNeaTS")},
 }
 
-#: runs of ``decompress()`` and of the access loop whose median ``measure``
-#: reports: one run of either moves by ~10 % between runs of the same code
+#: runs of a timed call whose median :func:`median_time` reports: one run of
+#: ``decompress()`` or of an access loop moves by ~10 % between runs of the
+#: same code
 _REPEATS = 5
 
 #: Fig. 4 label -> codec table name: NeaTS runs as its SNeaTS variant
@@ -76,9 +77,10 @@ def input_of(ts: TimeSeries, domain: str) -> np.ndarray:
     return ts.floats if domain == "float" else ts.ints
 
 
-def _median_time(fn) -> tuple[object, float]:
+def median_time(fn) -> tuple[object, float]:
     """The result of ``fn()`` and the median of its wall time over
-    ``_REPEATS`` calls."""
+    ``_REPEATS`` calls: the timer of ``measure``'s decompression and access
+    columns, of Table II, of Fig. 2 and of Fig. 4."""
     times = []
     for _ in range(_REPEATS):
         t0 = time.perf_counter()
@@ -101,7 +103,7 @@ def measure(name: str, ts: TimeSeries, *, n_access: int = 2000) -> dict:
     art = build(values)
     t_comp = time.perf_counter() - t0
 
-    dec, t_dec = _median_time(art.decompress)
+    dec, t_dec = median_time(art.decompress)
     if not np.array_equal(np.asarray(dec), values):
         raise AssertionError(f"{name} is not lossless on {ts.name}")
 
@@ -112,7 +114,7 @@ def measure(name: str, ts: TimeSeries, *, n_access: int = 2000) -> dict:
         for k in idx:
             art.access(int(k))
 
-    _, t_ra = _median_time(access_loop)
+    _, t_ra = median_time(access_loop)
     for k in idx[:20]:
         if art.access(int(k)) != values[k]:
             raise AssertionError(f"{name} random access wrong on {ts.name}@{k}")

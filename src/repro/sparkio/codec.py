@@ -81,13 +81,17 @@ def compress_to_blocks(
     Row ``idx`` goes to block ``idx DIV block_size`` (integer division,
     truncating toward zero).  The groupBy shuffles rows to the executor
     owning each block, which then runs the NeaTS encoder on its sorted
-    values — the per-partition custom encoder pattern.  A block is read back as ``start_idx + arange(n)``, so
-    a block whose ``idx`` values are not consecutive (a gap or a duplicate)
-    raises ``ValueError``.  On the driver, before any job: a ``codec`` that
-    is not a NeaTS variant or a ``block_size`` below 1 raises ``ValueError``,
-    a ``block_size`` that is not an integer (a float) raises ``TypeError``,
-    and an ``idx`` or ``y`` column of other than an integral type raises
-    :class:`OutOfDomainError` (the cast to long would truncate it).
+    values — the per-partition custom encoder pattern.  A block is read
+    back as ``start_idx + arange(n)``, so in the executor a block whose
+    ``idx`` values are not consecutive (a gap or a duplicate) raises
+    ``ValueError`` naming the block, and a block with a null ``idx`` or
+    ``y`` raises ``ValueError`` naming the column and the block (rows with
+    a null ``idx`` form block ``None``).  On the driver, before any job: a
+    ``codec`` that is not a NeaTS variant or a ``block_size`` below 1
+    raises ``ValueError``, a ``block_size`` that is not an integer (a float)
+    raises ``TypeError``, and an ``idx`` or ``y`` column of other than an
+    integral type raises :class:`OutOfDomainError` (the cast to long would
+    truncate it).
     """
     if codec not in VARIANTS:
         raise ValueError(f"unknown codec {codec!r}: one of {', '.join(VARIANTS)}")
@@ -114,9 +118,12 @@ def _encode(codec, table):
     ``(idx, y, block_id)`` rows in any order.  Not annotated:
     ``applyInArrow`` would read the hints with ``typing.get_type_hints``,
     which refuses a ``partial``, and warn."""
+    bid = table["block_id"][0].as_py()
+    for name in ("idx", "y"):
+        if nulls := table[name].null_count:
+            raise ValueError(f"block {bid}: column {name} holds {nulls} null value(s)")
     table = table.sort_by("idx")
     idx, vals = table["idx"].to_numpy(), table["y"].to_numpy()
-    bid = table["block_id"][0].as_py()
     if not np.array_equal(idx, np.arange(idx[0], idx[0] + len(idx))):
         raise ValueError(f"block {bid}: its idx values are not consecutive from {idx[0]}")
     return pa.table({"block_id": [bid], "start_idx": [int(idx[0])], "n": [len(vals)],

@@ -12,7 +12,7 @@ from .baselines.aa import AA
 from .baselines.pla import PLA
 from .core.lossy import NeaTSLossy, mape
 from .core.neats import NeaTS
-from .harness import ALL_LOSSLESS, _median_time, measure
+from .harness import ALL_LOSSLESS, measure, median_time
 from .tsdata import load
 
 __all__ = ["pick_eps", "table2_run_dataset", "table3_run_dataset"]
@@ -42,8 +42,8 @@ def table2_run_dataset(name: str, n: int | None) -> list[dict]:
     mb = orig / 1e6
     r = {"dataset": name, "eps": int(eps), "eps_pct": 100.0 * eps / max(1, ts.value_range)}
     for key, ratio_key, cls in (("aa", "aa", AA), ("pla", "pla", PLA), ("nl", "neats_l", NeaTSLossy)):
-        obj, t_comp = _median_time(lambda: cls.compress(ints, eps))
-        approx, t_dec = _median_time(obj.approximate)
+        obj, t_comp = median_time(lambda: cls.compress(ints, eps))
+        approx, t_dec = median_time(obj.approximate)
         err = float(np.max(np.abs(approx - ints)))
         assert err <= eps + 1e-6, (name, key, err, eps)
         r[ratio_key] = 100.0 * obj.size_bytes / orig

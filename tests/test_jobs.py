@@ -105,12 +105,35 @@ class TestTable3:
 
 class TestRangeQueries:
     def test_range_job_runs(self):
+        """Every range size 10 .. 2560 of every Fig. 4 codec, each batch's
+        last scan checked against the input inside ``run``."""
         mod = _load("range_queries")
         mod.RANGE_DATASETS = ["CT"]
-        rows = mod.run(n=1500, n_queries=5, max_k=4)
-        codecs = {r["codec"] for r in rows}
-        assert codecs == {"NeaTS", "DAC", "ALP", "Lz4"}
+        rows = mod.run(n=3000, n_queries=5, max_k=9)
+        assert {(r["range"], r["codec"]) for r in rows} == {
+            (10 * 2 ** k, c) for k in range(9) for c in ("NeaTS", "DAC", "ALP", "Lz4")}
         assert all(r["qps"] > 0 for r in rows)
+
+    def test_wrong_scan_raises(self, monkeypatch):
+        """``run`` checks the answers it times."""
+        mod = _load("range_queries")
+        mod.RANGE_DATASETS = ["CT"]
+        build = mod.build_artifacts
+
+        class OffByOne:
+            def __init__(self, art):
+                self.art = art
+
+            def scan(self, lo, hi):
+                return self.art.scan(lo, hi) + 1
+
+        def broken(ts):
+            arts = build(ts)
+            return {**arts, "DAC": OffByOne(arts["DAC"])}
+
+        monkeypatch.setattr(mod, "build_artifacts", broken)
+        with pytest.raises(AssertionError, match="DAC scan wrong on CT"):
+            mod.run(n=600, n_queries=2, max_k=1)
 
     def test_neats_throughput_flat_across_ranges(self):
         """Fig. 4's transferable property in this substrate: NeaTS range

@@ -124,7 +124,8 @@ class TestForgedRowCount:
 
 class TestIngestIdx:
     """A block is read back as ``start_idx + arange(n)``, so ingest refuses a
-    block whose ``idx`` has a gap or a duplicate instead of renumbering it."""
+    block whose ``idx`` has a gap or a duplicate instead of renumbering it,
+    and a block with a null ``idx`` or ``y``, naming the column."""
 
     @pytest.mark.parametrize("codec", ["neats"])
     @pytest.mark.parametrize("idx", [[0, 2, 4, 6], [0, 1, 1, 2]], ids=["gap", "duplicate"])
@@ -132,6 +133,15 @@ class TestIngestIdx:
         df = spark.createDataFrame(pd.DataFrame({"idx": idx, "y": [10, 20, 30, 40]}))
         with pytest.raises(PythonException, match=r"ValueError: block \d+: its idx values are not consecutive"):
             compress_to_blocks(df, codec=codec, block_size=4).collect()
+
+    @pytest.mark.parametrize("rows, block, column", [([(0, 1), (None, 2)], "None", "idx"),
+                                                      ([(0, 1), (1, None)], "0", "y")], ids=["null-idx", "null-y"])
+    def test_null_raises(self, spark, rows, block, column):
+        """A null would reach the encoder as a float (a null ``y``) or an
+        ``arange`` of no length (a null ``idx``)."""
+        df = spark.createDataFrame(rows, "idx long, y long")
+        with pytest.raises(PythonException, match=f"ValueError: block {block}: column {column} holds 1 null value"):
+            compress_to_blocks(df, block_size=4).collect()
 
 
 class TestIngestBlockIds:
